@@ -1,4 +1,5 @@
-"""Real multiprocess execution backend: ``run_parallel``.
+"""Real multiprocess execution backend: ``run_parallel`` and
+``run_accum_parallel``.
 
 Everything else in this repository executes iterative jobs either in
 virtual time (the simulated :class:`IMapReduceRuntime`) or serially
@@ -22,8 +23,18 @@ The mesh and both control planes run on point-to-point OS pipes
 *and their process sentinels*, so a verdict round-trip costs
 microseconds and a worker death — any exit code, with or without a
 final report — is detected the instant the OS reaps it instead of on a
-poll interval or timeout.  See :mod:`.workerproc` for the frame format,
-the skip-empty manifest protocol, and the zero-copy buffer path.
+poll interval or timeout.  See :mod:`.workerproc` for the worker loop,
+the frame format, the skip-empty manifest protocol, and the zero-copy
+buffer path.
+
+Both entry points take one path, :func:`_supervise` (spawn → coordinate
+→ fence or shut down, plus recovery) over one coordinate loop,
+:func:`_coordinate`, which merges per-round worker reports eagerly and
+hands out each round's verdict.  Only the merge and verdict rule
+differ: :class:`_SyncState` merges distances, history and the aux
+phase and decides threshold/aux termination; :class:`_AccumState`
+folds the pending masses pair-ascending and decides progress or the
+round budget.
 
 Supported job surface: combiners, one2all broadcast (§5.1), multi-phase
 iterations (§5.2), the auxiliary phase (§5.3), and distance/threshold
@@ -40,8 +51,8 @@ differential tests and the chaos campaigns' ``parallel`` mode.
 Fault tolerance (§3.4 / §5 runtime support)
 -------------------------------------------
 
-When armed (``checkpoint_every`` and/or ``faults``), the backend
-survives real worker death:
+When armed (``checkpoint_every`` and/or ``faults``; synchronous jobs
+only so far), the backend survives real worker death:
 
 * **Checkpoints** — every ``checkpoint_every`` iterations each worker
   spools its pair states durably (:mod:`.checkpoint`); the coordinator
@@ -111,6 +122,7 @@ from .workerproc import (
     PEER_LOST_EXIT,
     VERDICT,
     WorkerConfig,
+    _read_frame,
     encode_frame,
     worker_main,
 )
@@ -261,39 +273,131 @@ def run_parallel(
     """
     run_started = time.perf_counter()
     num_workers = _pick_workers(num_workers, num_pairs)
-    phases = job.phases
     part = bind_partitioner(job.partitioner, num_pairs)
-    aux = job.aux
-    # Workers stream per-iteration state only when someone consumes it.
-    send_state = aux is not None or keep_history
-    # Threshold/aux termination is a coordinator decision each
-    # iteration; maxiter-only jobs free-run with no verdict round-trip.
-    wait_verdict = aux is not None or job.threshold is not None
-
-    if checkpoint_every is None:
-        checkpoint_every = job.parallel_checkpoint_every
-    faults = tuple(faults or ())
-    recovery_armed = bool(faults) or checkpoint_every is not None
-    columnar = kernel_enabled(job)
 
     # ---- partition state and static exactly like the serial executor --
-    state_parts: list[list] = [[] for _ in range(num_pairs)]
-    for rec in state_records:
-        state_parts[part(rec[0])].append(rec)
+    state_parts = partition_state(state_records, num_pairs, part)
     static_by_path = {k: dict(v) for k, v in (static_records or {}).items()}
     static_parts: list[list[dict]] = []
-    for phase in phases:
+    for phase in job.phases:
         table = static_by_path.get(phase.static_path or "", {})
         per_pair: list[dict] = [{} for _ in range(num_pairs)]
         for key, value in table.items():
             per_pair[part(key)][key] = value
         static_parts.append(per_pair)
 
+    if checkpoint_every is None:
+        checkpoint_every = job.parallel_checkpoint_every
+    return _supervise(
+        job, _SyncState(job, num_pairs, keep_history), state_parts, static_parts,
+        run_started=run_started, num_workers=num_workers,
+        start_method=start_method, timeout=timeout,
+        heartbeat_interval=heartbeat_interval,
+        suspicion_timeout=suspicion_timeout,
+        checkpoint_every=checkpoint_every, spool_dir=spool_dir,
+        faults=tuple(faults or ()), max_recoveries=max_recoveries,
+        reassign_on_failure=reassign_on_failure,
+        # Workers stream per-iteration state only when someone consumes it.
+        send_state=job.aux is not None or keep_history,
+    )
+
+
+def run_accum_parallel(
+    job: AccumJob,
+    delta_records: Iterable[tuple[Any, Any]],
+    static_records: dict[str, Iterable[tuple[Any, Any]]] | None = None,
+    *,
+    num_pairs: int = 4,
+    num_workers: int | None = None,
+    mode: str = "async",
+    keep_trace: bool = False,
+    start_method: str | None = None,
+    timeout: float | None = 600.0,
+    heartbeat_interval: float | None = 0.5,
+    suspicion_timeout: float | None = 30.0,
+    initial_state: Iterable[tuple[Any, Any]] | None = None,
+) -> AccumRunResult:
+    """Execute an :class:`~repro.imapreduce.accum.AccumJob` on real
+    worker processes.
+
+    Same semantics as
+    :func:`~repro.imapreduce.localrun.run_accum_local` — partitioning,
+    scheduling, and the pre-round mass check follow the identical
+    determinism contract, so for a given ``(job, deltas, num_pairs,
+    mode)`` the parallel result is record-for-record identical to the
+    serial one (floats included) at every worker count and start
+    method.  Only nonzero delta batches cross the mesh; converged
+    pairs cost one manifest frame per peer per round.  A kernel-enabled
+    job runs the record :class:`~repro.imapreduce.accum.AccumPair` path
+    here; the columnar delta path is serial-only.
+
+    Recovery is not implemented yet: a worker death raises
+    :class:`ParallelExecutionError`.  Nothing in the protocol prevents
+    it — at each pre-round verdict every delta of the previous round
+    has already been gathered and absorbed, so per-pair state plus
+    pending deltas form a consistent cut.  Chaos coverage for the async
+    mode rides the simulated backend's seeded delivery deferral.
+    """
+    run_started = time.perf_counter()
+    check_mode(mode)
+    num_workers = _pick_workers(num_workers, num_pairs)
+    part = bind_partitioner(job.partitioner, num_pairs)
+    delta_parts, static_tables = partition_accum_inputs(
+        job, delta_records, static_records, num_pairs, part
+    )
+    warm_parts = (
+        None if initial_state is None
+        else partition_state(initial_state, num_pairs, part)
+    )
+    return _supervise(
+        job, _AccumState(job, num_pairs, mode, keep_trace), delta_parts,
+        [static_tables], warm_parts,
+        run_started=run_started, num_workers=num_workers,
+        start_method=start_method, timeout=timeout,
+        heartbeat_interval=heartbeat_interval,
+        suspicion_timeout=suspicion_timeout,
+        send_state=False, accum_mode=mode,
+    )
+
+
+def _supervise(
+    job,
+    coord: "_CoordinatorState",
+    state_parts: list[list],
+    static_parts: list[list[dict]],
+    warm_parts: list[list] | None = None,
+    *,
+    run_started: float,
+    num_workers: int,
+    start_method: str | None,
+    timeout: float | None,
+    heartbeat_interval: float | None,
+    suspicion_timeout: float | None,
+    checkpoint_every: int | None = None,
+    spool_dir: str | None = None,
+    faults: tuple = (),
+    max_recoveries: int = 0,
+    reassign_on_failure: bool = False,
+    **fields,
+):
+    """Spawn, coordinate and tear down meshes until the job completes —
+    the one path every job kind takes.  ``fields`` are further
+    :class:`WorkerConfig` keywords shared by every worker.
+
+    A confirmed worker death fences the generation.  When recovery is
+    armed (checkpoints or injected faults) the newest committed
+    checkpoint is restored, the merge state rolled back to its barrier
+    and a fresh generation respawned; otherwise the death is a
+    :class:`ParallelExecutionError`.
+    """
+    num_pairs = len(state_parts)
     try:
         ctx = multiprocessing.get_context(start_method or "fork")
     except ValueError:  # pragma: no cover - non-POSIX fallback
         ctx = multiprocessing.get_context(start_method)
 
+    recovery_armed = bool(faults) or checkpoint_every is not None
+    suspicion = suspicion_timeout if heartbeat_interval is not None else None
     own_spool = False
     store: CheckpointStore | None = None
     if checkpoint_every is not None:
@@ -306,7 +410,6 @@ def run_parallel(
         [p for p in range(num_pairs) if p % num_workers == w]
         for w in range(num_workers)
     ]
-    coord = _CoordinatorState(job, num_pairs, keep_history)
     generation = 0
     start_iteration = 0
     restored: dict[int, Any] | None = None
@@ -315,37 +418,19 @@ def run_parallel(
     try:
         while True:
             mesh = _spawn_mesh(
-                ctx,
-                job,
-                assignment,
-                state_parts,
-                static_parts,
-                restored,
-                num_pairs=num_pairs,
-                generation=generation,
-                start_iteration=start_iteration,
-                send_state=send_state,
-                wait_verdict=wait_verdict,
-                checkpoint_every=checkpoint_every,
-                spool_dir=spool_dir,
+                ctx, assignment, state_parts if restored is None else restored,
+                static_parts, warm_parts,
+                generation=generation, faults=faults, timeout=timeout,
                 heartbeat_interval=heartbeat_interval,
-                faults=faults,
-                columnar=columnar,
-                timeout=timeout,
+                job=job, num_pairs=num_pairs, start_iteration=start_iteration,
+                wait_verdict=coord.wait_verdict,
+                checkpoint_every=checkpoint_every, spool_dir=spool_dir,
+                **fields,
             )
             try:
                 outcome = _coordinate(
-                    job,
-                    num_pairs,
-                    mesh,
-                    coord,
-                    keep_history=keep_history,
-                    timeout=timeout,
-                    suspicion_timeout=(
-                        suspicion_timeout if heartbeat_interval is not None else None
-                    ),
-                    store=store,
-                    checkpoint_every=checkpoint_every,
+                    mesh, coord, timeout=timeout, suspicion_timeout=suspicion,
+                    store=store, checkpoint_every=checkpoint_every,
                     start_iteration=start_iteration,
                 )
                 ok = True
@@ -361,7 +446,7 @@ def run_parallel(
                         f"{death.reason}; recovery budget exhausted after "
                         f"{len(coord.recovery_events)} recoveries"
                     ) from None
-                restore = _load_restore(store, num_pairs, columnar)
+                restore = _load_restore(store, num_pairs, kernel_enabled(job))
                 if restore is None:
                     start_iteration, restored = 0, None
                 else:
@@ -393,12 +478,6 @@ def run_parallel(
             shutil.rmtree(spool_dir, ignore_errors=True)
 
     outcome.num_workers = len(assignment)
-    outcome.num_pairs = num_pairs
-    outcome.worker_stats.sort(key=lambda s: s.get("worker", 0))
-    outcome.checkpoints = sorted(set(coord.committed))
-    outcome.commit_seconds = round(coord.commit_seconds, 6)
-    outcome.recoveries = len(coord.recovery_events)
-    outcome.recovery_events = list(coord.recovery_events)
     outcome.wall_seconds = time.perf_counter() - run_started
     return outcome
 
@@ -417,28 +496,22 @@ class _Mesh:
 
 def _spawn_mesh(
     ctx,
-    job: IterativeJob,
     assignment: list[list[int]],
-    state_parts: list[list],
+    pair_states,
     static_parts: list[list[dict]],
-    restored: dict[int, Any] | None,
+    warm_parts: list[list] | None,
     *,
-    num_pairs: int,
     generation: int,
-    start_iteration: int,
-    send_state: bool,
-    wait_verdict: bool,
-    checkpoint_every: int | None,
-    spool_dir: str | None,
-    heartbeat_interval: float | None,
     faults: tuple,
-    columnar: bool,
     timeout: float | None,
-    accum_mode: str = "async",
-    accum_state_parts: list[list] | None = None,
+    heartbeat_interval: float | None,
+    **fields,
 ) -> _Mesh:
+    """Start one generation: wire the pipes, ship each worker its
+    :class:`WorkerConfig` (``fields`` are the keyword arguments every
+    worker shares) and start the processes."""
     num_workers = len(assignment)
-    owner_of = [0] * num_pairs
+    owner_of = [0] * fields["num_pairs"]
     for w, pairs in enumerate(assignment):
         for p in pairs:
             owner_of[p] = w
@@ -457,38 +530,25 @@ def _spawn_mesh(
     verdict_pipes = [ctx.Pipe(duplex=False) for _ in range(num_workers)]
     report_pipes = [ctx.Pipe(duplex=False) for _ in range(num_workers)]
 
-    def pair_state(p: int):
-        if restored is not None:
-            return restored[p]
-        return state_parts[p]
-
     # The blob is pickled explicitly (not via the spawn machinery) so the
     # job's pickle round-trip is exercised under every start method.
     blobs = [
         WorkerConfig(
             worker_id=w,
             num_workers=num_workers,
-            num_pairs=num_pairs,
-            job=job,
-            state_parts={p: pair_state(p) for p in assignment[w]},
+            state_parts={p: pair_states[p] for p in assignment[w]},
             static_parts=[
                 {p: per_pair[p] for p in assignment[w]} for per_pair in static_parts
             ],
-            send_state=send_state,
-            wait_verdict=wait_verdict,
             generation=generation,
-            start_iteration=start_iteration,
             owner_of=owner_of,
-            checkpoint_every=checkpoint_every,
-            spool_dir=spool_dir,
             faults=tuple(f for f in faults if f.worker == w),
-            columnar_state=columnar and restored is not None,
-            accum_mode=accum_mode,
             accum_initial_state=(
                 None
-                if accum_state_parts is None
-                else {p: accum_state_parts[p] for p in assignment[w]}
+                if warm_parts is None
+                else {p: warm_parts[p] for p in assignment[w]}
             ),
+            **fields,
         ).to_blob()
         for w in range(num_workers)
     ]
@@ -628,24 +688,15 @@ def _poll_frame(conn):
     """
     if not conn.poll(0):
         return None
-    header = conn.recv_bytes()
-    kind, iteration, phase, src, sizes = pickle.loads(header)
-    if sizes is None:
-        return kind, iteration, phase, src, None, len(header)
-    if not conn.poll(0):
-        return None
-    data = conn.recv_bytes()
-    nbytes = len(header) + len(data)
-    buffers = []
-    for size in sizes:
+
+    def await_part() -> None:
         if not conn.poll(0):
-            return None
-        buf = bytearray(size)
-        conn.recv_bytes_into(buf)
-        buffers.append(buf)
-        nbytes += size
-    payload = pickle.loads(data, buffers=buffers) if sizes else pickle.loads(data)
-    return kind, iteration, phase, src, payload, nbytes
+            raise _TornFrame()
+
+    try:
+        return _read_frame(conn, await_part)
+    except _TornFrame:
+        return None
 
 
 class _CoordinatorInbox:
@@ -688,25 +739,6 @@ class _CoordinatorInbox:
             proc = self._procs.get(wid)
             if proc is None or not proc.is_alive():
                 raise _TornFrame()
-
-    def _read_frame_from(self, conn, wid: int):
-        """Torn-frame-safe :func:`read_frame` for the report pipes."""
-        header = conn.recv_bytes()  # readiness established by wait()
-        kind, iteration, phase, src, sizes = pickle.loads(header)
-        if sizes is None:
-            return kind, iteration, phase, src, None, len(header)
-        self._await_part(conn, wid)
-        data = conn.recv_bytes()
-        nbytes = len(header) + len(data)
-        buffers = []
-        for size in sizes:
-            self._await_part(conn, wid)
-            buf = bytearray(size)
-            conn.recv_bytes_into(buf)
-            buffers.append(buf)
-            nbytes += size
-        payload = pickle.loads(data, buffers=buffers) if sizes else pickle.loads(data)
-        return kind, iteration, phase, src, payload, nbytes
 
     def mark_final(self, wid: int) -> None:
         """A worker's final report arrived: stop supervising it."""
@@ -792,7 +824,9 @@ class _CoordinatorInbox:
                 if wid is None:
                     continue  # a sentinel: handled at the top of the loop
                 try:
-                    frame = self._read_frame_from(obj, wid)
+                    # Readiness established by wait(); every later part
+                    # goes through the torn-frame guard.
+                    frame = _read_frame(obj, lambda: self._await_part(obj, wid))
                 except _TornFrame:
                     # Died mid-write: discard the pipe (its remaining
                     # bytes are unframed garbage); the sentinel check at
@@ -810,38 +844,71 @@ class _CoordinatorInbox:
 
 
 class _CoordinatorState:
-    """Merge state that must survive mesh generations.
+    """Coordinator state that must survive mesh generations.
 
-    The coordinator folds iteration reports *eagerly and in order*
-    (``merged_through`` counts them), so "the merge state at the end of
-    iteration k" is a well-defined point that :meth:`snapshot` captures
-    whenever k is a checkpoint boundary.  :meth:`rollback` restores that
-    point — in either direction: a second recovery may legally restore a
-    *newer* manifest than the current merge frontier if the first crash
-    predated an already-committed checkpoint.
+    The coordinator folds per-round worker reports *eagerly and in
+    order* (``merged_through`` counts them), then applies the per-round
+    verdict rule.  Subclasses supply that merge, the rule and the result
+    assembly for one job family; the checkpoint-commit and recovery
+    bookkeeping here is shared.
+    """
+
+    #: Workers await a verdict every round.
+    wait_verdict = True
+    #: Workers send a report every round (so a checkpoint commit must
+    #: wait for the merge frontier to pass its iteration).
+    stream_reports = True
+
+    def __init__(self, num_pairs: int, verdict_rounds: int):
+        self.num_pairs = num_pairs
+        #: Rounds the coordinator hands a verdict for, at most.
+        self.verdict_rounds = verdict_rounds
+        self.merged_through = 0
+        self.commit_seconds = 0.0
+        self.committed: list[int] = []
+        self.recovery_events: list[dict] = []
+
+
+class _SyncState(_CoordinatorState):
+    """Synchronous jobs: distance, history and aux merge, then the
+    threshold or aux verdict.
+
+    "The merge state at the end of iteration k" is a well-defined point
+    that :meth:`snapshot` captures whenever k is a checkpoint boundary.
+    :meth:`rollback` restores that point — in either direction: a second
+    recovery may legally restore a *newer* manifest than the current
+    merge frontier if the first crash predated an already-committed
+    checkpoint.
     """
 
     def __init__(self, job: IterativeJob, num_pairs: int, keep_history: bool):
+        super().__init__(
+            num_pairs,
+            job.max_iterations if job.max_iterations is not None else 10**9,
+        )
         self.job = job
-        self.num_pairs = num_pairs
         self.keep_history = keep_history
-        aux = job.aux
-        self.aux = aux
+        aux = self.aux = job.aux
+        # Threshold/aux termination is a coordinator decision each
+        # iteration; maxiter-only jobs free-run with no verdict round-trip.
+        self.wait_verdict = aux is not None or job.threshold is not None
+        self.stream_reports = (
+            self.wait_verdict or job.distance_fn is not None or keep_history
+        )
         self.aux_part = (
             bind_partitioner(job.partitioner, aux.num_tasks) if aux else None
         )
-        self.aux_map_state: list[dict] = [{} for _ in range(aux.num_tasks if aux else 0)]
-        self.aux_reduce_state: list[dict] = [
-            {} for _ in range(aux.num_tasks if aux else 0)
-        ]
-        self.distances: list[float | None] = []
-        self.commit_seconds = 0.0
-        self.history: list[list[tuple[Any, Any]]] = []
-        self.merged_through = 0
         self.results: dict[int, tuple[float | None, bool]] = {}
         self.snapshots: dict[int, bytes] = {}  # iteration -> merge state
-        self.committed: list[int] = []
-        self.recovery_events: list[dict] = []
+        self._reset()
+
+    def _reset(self) -> None:
+        """The merge state before iteration 0."""
+        tasks = self.aux.num_tasks if self.aux else 0
+        self.aux_map_state: list[dict] = [{} for _ in range(tasks)]
+        self.aux_reduce_state: list[dict] = [{} for _ in range(tasks)]
+        self.distances: list[float | None] = []
+        self.history: list[list[tuple[Any, Any]]] = []
 
     def merge_iteration(self, reports: dict[int, dict]) -> None:
         """Merge the next iteration's reports: distance + history + aux."""
@@ -889,6 +956,15 @@ class _CoordinatorState:
         self.results[iteration] = (distance, aux_stop)
         self.merged_through = iteration + 1
 
+    def verdict(self, iteration: int) -> str:
+        distance, aux_stop = self.results[iteration]
+        if aux_stop:
+            return "aux"
+        threshold = self.job.threshold
+        if threshold is not None and distance is not None and distance <= threshold:
+            return "threshold"
+        return CONTINUE
+
     def snapshot(self, iteration: int) -> None:
         """Capture the merge state right after ``iteration`` merged."""
         self.snapshots[iteration] = pickle.dumps(
@@ -910,11 +986,7 @@ class _CoordinatorState:
         if blob is None:
             # From-scratch restart — or a free-running job that streams
             # no per-iteration reports, so there is nothing to restore.
-            self.distances = []
-            self.history = []
-            aux = self.aux
-            self.aux_map_state = [{} for _ in range(aux.num_tasks if aux else 0)]
-            self.aux_reduce_state = [{} for _ in range(aux.num_tasks if aux else 0)]
+            self._reset()
         else:
             (
                 self.distances,
@@ -924,26 +996,109 @@ class _CoordinatorState:
             ) = pickle.loads(blob)
         self.merged_through = start_iteration
 
+    def result(self, state, iterations_run, terminated_by, worker_stats):
+        terminated_by = terminated_by or "maxiter"
+        distances = list(self.distances)
+        # Free-running jobs with no distance to measure send no
+        # per-iteration reports; the serial executor still records one
+        # (None) entry per iteration, so pad for field-compatible results.
+        while len(distances) < iterations_run:
+            distances.append(None)
+        return ParallelRunResult(
+            state=state,
+            iterations_run=iterations_run,
+            converged=terminated_by == "threshold",
+            terminated_by=terminated_by,
+            distances=distances,
+            history=list(self.history),
+            num_pairs=self.num_pairs,
+            worker_stats=worker_stats,
+            checkpoints=sorted(set(self.committed)),
+            recoveries=len(self.recovery_events),
+            recovery_events=list(self.recovery_events),
+            commit_seconds=round(self.commit_seconds, 6),
+        )
+
+
+class _AccumState(_CoordinatorState):
+    """Accumulative jobs: fold the per-pair pending masses in ascending
+    pair order (the serial loop's float fold), then the ``"progress"``
+    or ``"maxrounds"`` verdict.  Every round is reported *before* it
+    runs, so round ``max_rounds`` is the last one with a verdict."""
+
+    def __init__(self, job: AccumJob, num_pairs: int, mode: str, keep_trace: bool):
+        max_rounds = job.max_rounds if job.max_rounds is not None else 10**9
+        super().__init__(num_pairs, max_rounds + 1)
+        self.max_rounds = max_rounds
+        self.threshold = job.threshold if job.threshold is not None else 0.0
+        self.mode = mode
+        self.keep_trace = keep_trace
+        self.trace: list[dict] = []
+        self.mass = 0.0
+
+    def merge_iteration(self, reports: dict[int, dict]) -> None:
+        rnd = self.merged_through
+        masses: dict[int, float] = {}
+        updates = emitted = shipped = 0
+        for wid in sorted(reports):
+            report = reports[wid]
+            masses.update(report["mass"])
+            updates += report["updates"]
+            emitted += report["emitted"]
+            shipped += report["shipped"]
+        # Ascending-pair fold — bit-identical to the serial loop's sum.
+        mass = 0.0
+        for p in range(self.num_pairs):
+            mass += masses.get(p, 0.0)
+        self.mass = mass
+        if self.keep_trace:
+            self.trace.append({
+                "round": rnd, "pending_mass": mass, "updates": updates,
+                "emitted": emitted, "shipped": shipped,
+            })
+        self.merged_through = rnd + 1
+
+    def verdict(self, rnd: int) -> str:
+        if self.mass <= self.threshold:
+            return "progress"
+        if rnd >= self.max_rounds:
+            return "maxrounds"
+        return CONTINUE
+
+    def result(self, state, iterations_run, terminated_by, worker_stats):
+        return AccumRunResult(
+            state=state,
+            rounds=iterations_run,
+            converged=terminated_by == "progress",
+            terminated_by=terminated_by,
+            pending_mass=self.mass,
+            updates_processed=sum(s["updates_processed"] for s in worker_stats),
+            deltas_emitted=sum(s["deltas_emitted"] for s in worker_stats),
+            deltas_shipped=sum(s["deltas_shipped"] for s in worker_stats),
+            mode=self.mode,
+            trace=self.trace,
+            worker_stats=worker_stats,
+        )
+
 
 def _coordinate(
-    job: IterativeJob,
-    num_pairs: int,
     mesh: _Mesh,
     coord: _CoordinatorState,
     *,
-    keep_history: bool,
     timeout: float | None,
     suspicion_timeout: float | None,
     store: CheckpointStore | None,
     checkpoint_every: int | None,
     start_iteration: int,
-) -> ParallelRunResult:
-    aux = job.aux
-    distance_fn = job.distance_fn
-    wait_verdict = aux is not None or job.threshold is not None
-    stream_reports = wait_verdict or distance_fn is not None or keep_history
-    num_workers = len(mesh.procs)
+):
+    """Drive one mesh generation to its final reports.
 
+    Per-round reports merge eagerly as they complete; when the job
+    awaits verdicts, each round's verdict goes to every worker as soon
+    as that round is merged.  Checkpoint receipts commit manifests
+    through the same frame handler.
+    """
+    num_workers = len(mesh.procs)
     finals: dict[int, dict] = {}
     pending_iters: dict[int, dict[int, dict]] = {}
     ckpt_pending: dict[int, dict[int, dict]] = {}
@@ -961,7 +1116,7 @@ def _coordinate(
             entries = ckpt_pending[iteration]
             if len(entries) < num_workers:
                 continue
-            if stream_reports and coord.merged_through <= iteration:
+            if coord.stream_reports and coord.merged_through <= iteration:
                 continue
             commit_started = time.perf_counter()
             store.commit(
@@ -974,8 +1129,7 @@ def _coordinate(
                 coord.committed.append(iteration)
             del ckpt_pending[iteration]
 
-    def handle(frame) -> bool:
-        """Returns True when the frame was a final report."""
+    def handle(frame) -> None:
         kind, iteration, _phase, wid, payload, _nbytes = frame
         if kind == ERROR_REPORT:
             # A deterministic worker exception: recovery would replay
@@ -984,7 +1138,7 @@ def _coordinate(
         if kind == FINAL_REPORT:
             finals[wid] = payload
             inbox.mark_final(wid)
-            return True
+            return
         if kind == ITER_REPORT:
             pending_iters.setdefault(iteration, {})[wid] = payload
             # Eager in-order merging keeps ``merged_through`` the single
@@ -996,34 +1150,18 @@ def _coordinate(
                 if store is not None and (merged + 1) % checkpoint_every == 0:
                     coord.snapshot(merged)
             maybe_commit()
-            return False
+            return
         if kind == CKPT_REPORT:
             ckpt_pending.setdefault(iteration, {})[wid] = payload
             maybe_commit()
-            return False
+            return
         raise ParallelExecutionError(f"unexpected message kind {kind!r}")
 
-    if wait_verdict:
-        # Lock-step termination protocol (threshold and/or aux).
-        max_iterations = (
-            job.max_iterations if job.max_iterations is not None else 10**9
-        )
-        for iteration in range(start_iteration, max_iterations):
+    if coord.wait_verdict:
+        for iteration in range(start_iteration, coord.verdict_rounds):
             while coord.merged_through <= iteration:
                 handle(inbox.recv(timeout))
-            distance, aux_stop = coord.results[iteration]
-            verdict = CONTINUE
-            if aux_stop:
-                verdict = "aux"
-            elif (
-                job.threshold is not None
-                and distance is not None
-                and distance <= job.threshold
-            ):
-                verdict = "threshold"
-            elif iteration == max_iterations - 1:
-                # Let workers fall out of their loop naturally.
-                pass
+            verdict = coord.verdict(iteration)
             parts, _ = encode_frame(VERDICT, iteration, 0, -1, verdict)
             for conn in mesh.verdict_conns:
                 try:
@@ -1039,259 +1177,17 @@ def _coordinate(
     while len(finals) < num_workers:
         handle(inbox.recv(timeout))
 
-    if not terminated_by:
-        terminated_by = "maxiter"
-    iterations_run = max(f["iterations_run"] for f in finals.values())
-    distances = list(coord.distances)
-    # Free-running jobs with no distance to measure send no per-iteration
-    # reports; the serial executor still records one (None) entry per
-    # iteration, so pad for field-compatible results.
-    while len(distances) < iterations_run:
-        distances.append(None)
-    if any(f["iterations_run"] != iterations_run for f in finals.values()):
+    counts = sorted((w, f["iterations_run"]) for w, f in finals.items())
+    if len({n for _, n in counts}) != 1:
         raise ParallelExecutionError(
-            "workers disagree on the iteration count: "
-            f"{sorted((w, f['iterations_run']) for w, f in finals.items())}"
+            f"workers disagree on the iteration count: {counts}"
         )
-
     by_pair: dict[int, list] = {}
-    worker_stats: list[dict] = []
     for final in finals.values():
         by_pair.update(final["state"])
-        worker_stats.append(final["stats"])
     state = sorted(
-        (rec for p in range(num_pairs) for rec in by_pair.get(p, ())),
+        (rec for p in range(coord.num_pairs) for rec in by_pair.get(p, ())),
         key=lambda kv: order_key(kv[0]),
     )
-    return ParallelRunResult(
-        state=state,
-        iterations_run=iterations_run,
-        converged=terminated_by == "threshold",
-        terminated_by=terminated_by,
-        distances=distances,
-        history=list(coord.history),
-        worker_stats=worker_stats,
-    )
-
-
-# ------------------------------------------------- accumulative (Maiter) --
-def run_accum_parallel(
-    job: AccumJob,
-    delta_records: Iterable[tuple[Any, Any]],
-    static_records: dict[str, Iterable[tuple[Any, Any]]] | None = None,
-    *,
-    num_pairs: int = 4,
-    num_workers: int | None = None,
-    mode: str = "async",
-    keep_trace: bool = False,
-    start_method: str | None = None,
-    timeout: float | None = 600.0,
-    heartbeat_interval: float | None = 0.5,
-    suspicion_timeout: float | None = 30.0,
-    initial_state: Iterable[tuple[Any, Any]] | None = None,
-) -> AccumRunResult:
-    """Execute an :class:`~repro.imapreduce.accum.AccumJob` on real
-    worker processes.
-
-    Same semantics as
-    :func:`~repro.imapreduce.localrun.run_accum_local` — partitioning,
-    scheduling, and the pre-round mass check follow the identical
-    determinism contract, so for a given ``(job, deltas, num_pairs,
-    mode)`` the parallel result is record-for-record identical to the
-    serial one (floats included) at every worker count and start
-    method.  Only nonzero delta batches cross the mesh; converged
-    pairs cost one manifest frame per peer per round.
-
-    Accumulative runs have no inter-round barrier state worth
-    checkpointing (pending deltas are in flight by design), so a worker
-    death is terminal here: it raises :class:`ParallelExecutionError`
-    rather than recovering.  Chaos coverage for the async mode rides
-    the simulated backend's seeded delivery deferral instead.
-    """
-    run_started = time.perf_counter()
-    check_mode(mode)
-    num_workers = _pick_workers(num_workers, num_pairs)
-    part = bind_partitioner(job.partitioner, num_pairs)
-    delta_parts, static_tables = partition_accum_inputs(
-        job, delta_records, static_records, num_pairs, part
-    )
-    state_parts = (
-        None
-        if initial_state is None
-        else partition_state(initial_state, num_pairs, part)
-    )
-
-    try:
-        ctx = multiprocessing.get_context(start_method or "fork")
-    except ValueError:  # pragma: no cover - non-POSIX fallback
-        ctx = multiprocessing.get_context(start_method)
-
-    assignment = [
-        [p for p in range(num_pairs) if p % num_workers == w]
-        for w in range(num_workers)
-    ]
-    mesh = _spawn_mesh(
-        ctx,
-        job,
-        assignment,
-        delta_parts,
-        [static_tables],
-        None,
-        num_pairs=num_pairs,
-        generation=0,
-        start_iteration=0,
-        send_state=False,
-        wait_verdict=True,
-        checkpoint_every=None,
-        spool_dir=None,
-        heartbeat_interval=heartbeat_interval,
-        faults=(),
-        columnar=False,
-        timeout=timeout,
-        accum_mode=mode,
-        accum_state_parts=state_parts,
-    )
-    ok = False
-    try:
-        outcome = _coordinate_accum(
-            job,
-            num_pairs,
-            mesh,
-            keep_trace=keep_trace,
-            timeout=timeout,
-            suspicion_timeout=(
-                suspicion_timeout if heartbeat_interval is not None else None
-            ),
-        )
-        ok = True
-    except _WorkerDeath as death:
-        raise ParallelExecutionError(death.reason) from None
-    finally:
-        if ok:
-            _shutdown(mesh)
-        else:
-            _fence(mesh)
-
-    outcome.mode = mode
-    outcome.num_workers = num_workers
-    outcome.worker_stats.sort(key=lambda s: s.get("worker", 0))
-    outcome.wall_seconds = time.perf_counter() - run_started
-    return outcome
-
-
-def _coordinate_accum(
-    job: AccumJob,
-    num_pairs: int,
-    mesh: _Mesh,
-    *,
-    keep_trace: bool,
-    timeout: float | None,
-    suspicion_timeout: float | None,
-) -> AccumRunResult:
-    """Drive the accumulative verdict protocol.
-
-    Each round: gather every worker's pre-round report (per-pair
-    pending-priority masses + cumulative work counters), fold the
-    masses in ascending pair order (the serial loop's float fold), and
-    broadcast ``"progress"`` / ``"maxrounds"`` / CONTINUE.
-    """
-    num_workers = len(mesh.procs)
-    threshold = job.threshold if job.threshold is not None else 0.0
-    max_rounds = job.max_rounds if job.max_rounds is not None else 10**9
-    inbox = _CoordinatorInbox(
-        mesh.report_conns, mesh.procs, suspicion=suspicion_timeout
-    )
-
-    finals: dict[int, dict] = {}
-    pending_rounds: dict[int, dict[int, dict]] = {}
-    trace: list[dict] = []
-    terminated_by = ""
-    mass = 0.0
-
-    def handle(frame) -> None:
-        kind, iteration, _phase, wid, payload, _nbytes = frame
-        if kind == ERROR_REPORT:
-            raise ParallelExecutionError(f"worker {wid} failed:\n{payload}")
-        if kind == FINAL_REPORT:
-            finals[wid] = payload
-            inbox.mark_final(wid)
-            return
-        if kind == ITER_REPORT:
-            pending_rounds.setdefault(iteration, {})[wid] = payload
-            return
-        raise ParallelExecutionError(f"unexpected message kind {kind!r}")
-
-    rnd = 0
-    while True:
-        while len(pending_rounds.get(rnd, {})) < num_workers:
-            handle(inbox.recv(timeout))
-        reports = pending_rounds.pop(rnd)
-        masses: dict[int, float] = {}
-        updates = emitted = shipped = 0
-        for wid in sorted(reports):
-            report = reports[wid]
-            masses.update(report["mass"])
-            updates += report["updates"]
-            emitted += report["emitted"]
-            shipped += report["shipped"]
-        # Ascending-pair fold — bit-identical to the serial loop's sum.
-        mass = 0.0
-        for p in range(num_pairs):
-            mass += masses.get(p, 0.0)
-        if keep_trace:
-            trace.append(
-                {
-                    "round": rnd,
-                    "pending_mass": mass,
-                    "updates": updates,
-                    "emitted": emitted,
-                    "shipped": shipped,
-                }
-            )
-        verdict = CONTINUE
-        if mass <= threshold:
-            verdict = "progress"
-        elif rnd >= max_rounds:
-            verdict = "maxrounds"
-        parts, _ = encode_frame(VERDICT, rnd, 0, -1, verdict)
-        for conn in mesh.verdict_conns:
-            try:
-                for part in parts:
-                    conn.send_bytes(part)
-            except OSError:  # a dead worker: the next recv reports it
-                pass
-        if verdict != CONTINUE:
-            terminated_by = verdict
-            break
-        rnd += 1
-
-    while len(finals) < num_workers:
-        handle(inbox.recv(timeout))
-    if any(f["iterations_run"] != rnd for f in finals.values()):
-        raise ParallelExecutionError(
-            "workers disagree on the round count: "
-            f"{sorted((w, f['iterations_run']) for w, f in finals.items())}"
-        )
-
-    by_pair: dict[int, list] = {}
-    worker_stats: list[dict] = []
-    for final in finals.values():
-        by_pair.update(final["state"])
-        worker_stats.append(final["stats"])
-    state = sorted(
-        (rec for p in range(num_pairs) for rec in by_pair.get(p, ())),
-        key=lambda kv: order_key(kv[0]),
-    )
-    return AccumRunResult(
-        state=state,
-        rounds=rnd,
-        converged=terminated_by == "progress",
-        terminated_by=terminated_by,
-        pending_mass=mass,
-        updates_processed=sum(s["updates_processed"] for s in worker_stats),
-        deltas_emitted=sum(s["deltas_emitted"] for s in worker_stats),
-        deltas_shipped=sum(s["deltas_shipped"] for s in worker_stats),
-        mode="async",
-        trace=trace,
-        worker_stats=worker_stats,
-    )
+    worker_stats = [finals[w]["stats"] for w in sorted(finals)]
+    return coord.result(state, counts[0][1], terminated_by, worker_stats)

@@ -6,6 +6,21 @@ for every iteration).  The static-data partitions for its pairs arrive
 in the init blob and are deserialized exactly once; only state batches
 cross process boundaries afterwards (§3.2's static/state separation).
 
+One loop, three steps
+---------------------
+
+Every job kind runs the same :func:`_worker_loop`, which owns the data
+plane (:class:`_Port`), the stats, the per-iteration report →
+checkpoint → verdict handshake and the final report.  The iteration
+itself is a pluggable *step* that loads its own state and supplies its
+report, checkpoint (with its ``path`` tag) and final-state payloads:
+:class:`_RecordStep` (map/route/reduce/repartition on record lists),
+:class:`_KernelStep` (map_kernel/merge/finalize on ``(keys, values)``
+arrays, for kernel-enabled jobs) and :class:`_AccumStep`
+(select/apply/absorb on one :class:`~repro.imapreduce.accum.AccumPair`
+per pair, with the handshake *before* each round: the pre-round mass
+check).
+
 Data plane
 ----------
 
@@ -21,22 +36,21 @@ wire every logical message is a *frame*:
   the array memory — the array bytes are never copied into the pickle
   stream, and the receiver reads them into fresh writable storage with
   ``recv_bytes_into`` (one unavoidable pipe copy, nothing else);
-* header-only *manifest* frames (``buf_sizes is None``) replace the
-  empty batches the dense protocol used to pickle and ship to every
-  peer on every phase: a sender that feeds a destination ships data, a
-  sender that does not ships the 60-byte manifest, and receivers count
-  arrivals (data or manifest) against the peer set instead of timing
-  out.  ``batches_sent`` counts only data frames.
+* header-only *manifest* frames (``buf_sizes is None``): a sender that
+  feeds a destination ships data, a sender that does not ships the
+  60-byte manifest, and receivers count arrivals (data or manifest)
+  against the peer set instead of timing out.  ``batches_sent`` counts
+  only data frames.
 
-Shuffle payloads are a flat ``[(dest_pair, src_pair, records), ...]``
-list — one pickle per destination worker — instead of the old nested
-``pair → src_pair → list`` dict-of-dicts.  Route decisions
+Shuffle payloads are a flat ``[(dest_pair, src_pair, data…), ...]``
+list — one pickle per destination worker — where ``data`` is a record
+list or a ``keys, values`` array pair.  Record route decisions
 (``part(key) → (owner_worker, pair)``) are memoized per worker: the key
 universe of graph workloads is stable, so after the first iteration the
 partitioner is never re-evaluated on the hot path.
 
 The one2all broadcast (§5.1) is hoisted: every worker sends its state
-parts to pair-0's owner, which flattens in ascending pair order, sorts
+parts to pair-0's owner, which assembles in ascending pair order, sorts
 *once*, and ships the sorted broadcast back — ``2(W-1)`` messages and
 one sort per iteration instead of ``W(W-1)`` messages and ``W`` sorts.
 
@@ -45,15 +59,15 @@ never blocks on a full pipe (two workers exchanging batches larger than
 the pipe buffer would otherwise deadlock); serialization stays on the
 main thread so the profiler can attribute it.
 
-Control plane: per-iteration distance partials and state snapshots
-(only when the job measures a distance, runs an aux phase, or keeps
-history), and the final state.  Jobs that terminate by ``maxiter``
-alone free-run: workers cross zero synchronization points per
-iteration beyond the data mesh itself.
+Control plane: per-iteration reports (distance partials and state
+snapshots, only when the job measures a distance, runs an aux phase, or
+keeps history; pending masses on the accumulative path), and the final
+state.  Synchronous jobs that terminate by ``maxiter`` alone free-run:
+workers cross zero synchronization points per iteration beyond the data
+mesh itself.
 
-Profiler: every worker accumulates wall-time per phase of its loop —
-``map, combine, serialize, deserialize, send, wait, reduce, report,
-checkpoint, recover`` — into ``stats["phase_seconds"]``, surfaced by
+Profiler: every worker accumulates wall-time per phase of its loop
+(:data:`PHASE_COUNTERS`) into ``stats["phase_seconds"]``, surfaced by
 ``repro bench --profile``.
 
 Fault tolerance (§3.4): when the coordinator arms checkpointing, each
@@ -67,8 +81,8 @@ restored state — see :mod:`.parallel` for the recovery protocol.
 Determinism contract: every step processes pairs in ascending pair id
 and assembles incoming batches in ascending source-pair order, so
 reduce value lists — and therefore every float fold — are ordered
-exactly as :func:`~repro.imapreduce.localrun.run_local` orders them.
-The differential oracle can demand record-for-record equality.
+exactly as the serial executors order them.  The differential oracles
+can demand record-for-record equality.
 """
 
 from __future__ import annotations
@@ -78,6 +92,7 @@ import queue
 import threading
 import time
 import traceback
+from itertools import chain
 from multiprocessing.connection import wait as _conn_wait
 from typing import Any
 
@@ -189,22 +204,28 @@ def read_frame(conn):
     Out-of-band buffers are received into fresh ``bytearray`` storage so
     reconstructed numpy arrays stay writable.
     """
+    return _read_frame(conn, lambda: None)
+
+
+def _read_frame(conn, await_part):
+    """:func:`read_frame` calling ``await_part()`` before every part
+    after the header — the hook the coordinator's torn-frame guard
+    uses (a writer killed mid-frame never sends the rest)."""
     header = conn.recv_bytes()
     kind, iteration, phase, src, sizes = pickle.loads(header)
     if sizes is None:
         return kind, iteration, phase, src, None, len(header)
+    await_part()
     data = conn.recv_bytes()
     nbytes = len(header) + len(data)
-    if sizes:
-        buffers = []
-        for size in sizes:
-            buf = bytearray(size)
-            conn.recv_bytes_into(buf)
-            buffers.append(buf)
-            nbytes += size
-        payload = pickle.loads(data, buffers=buffers)
-    else:
-        payload = pickle.loads(data)
+    buffers = []
+    for size in sizes:
+        await_part()
+        buf = bytearray(size)
+        conn.recv_bytes_into(buf)
+        buffers.append(buf)
+        nbytes += size
+    payload = pickle.loads(data, buffers=buffers) if sizes else pickle.loads(data)
     return kind, iteration, phase, src, payload, nbytes
 
 
@@ -233,7 +254,6 @@ class WorkerConfig:
         checkpoint_every: int | None = None,
         spool_dir: str | None = None,
         faults: tuple = (),
-        columnar_state: bool = False,
         accum_mode: str = "async",
         accum_initial_state: dict[int, list] | None = None,
     ):
@@ -257,9 +277,6 @@ class WorkerConfig:
         self.spool_dir = spool_dir
         #: Seeded self-inflicted process faults (:class:`ProcFault`).
         self.faults = tuple(faults)
-        #: ``state_parts`` holds restored columnar ``(keys, values)``
-        #: arrays instead of record lists.
-        self.columnar_state = columnar_state
         #: Accumulative jobs only: the round scheduling mode
         #: (``"sync"`` drains every pending delta, ``"async"`` the
         #: top-priority fraction).
@@ -372,13 +389,6 @@ class _Heartbeat(threading.Thread):
         self._halt.set()
 
 
-def _fire_faults(cfg: WorkerConfig, iteration: int, phase: int) -> None:
-    """Self-inflict any seeded fault scheduled for this exact point."""
-    for fault in cfg.faults:
-        if fault.matches(cfg.generation, cfg.worker_id, iteration, phase):
-            fire_fault(fault)
-
-
 class _Inbox:
     """Readiness-based receive with out-of-order stashing.
 
@@ -461,13 +471,7 @@ def worker_main(
             heartbeat = _Heartbeat(feeder, report_conn, worker_id, heartbeat_interval)
             heartbeat.start()
         cfg = WorkerConfig.from_blob(blob)
-        if isinstance(cfg.job, AccumJob):
-            loop = _worker_loop_accum
-        elif kernel_enabled(cfg.job):
-            loop = _worker_loop_kernel
-        else:
-            loop = _worker_loop
-        loop(
+        _worker_loop(
             cfg, peer_recv, peer_send, verdict_conn, report_conn, feeder, timeout
         )
         feeder.flush()
@@ -493,104 +497,198 @@ def worker_main(
             pass  # detection still reports the death
 
 
-def _worker_loop(
-    cfg: WorkerConfig,
-    peer_recv: dict[int, Any],
-    peer_send: dict[int, Any],
-    verdict_conn,
-    report_conn,
-    feeder: _Feeder,
-    timeout: float | None,
-) -> None:
-    job = cfg.job
-    wid = cfg.worker_id
-    num_pairs = cfg.num_pairs
-    phases = job.phases
-    last_phase = len(phases) - 1
-    my_pairs = sorted(cfg.state_parts)
-    peers = sorted(peer_recv)
-    part = bind_partitioner(job.partitioner, num_pairs)
-    distance_fn = job.distance_fn
-    owner_of = cfg.resolved_owner_of()
-    perf = time.perf_counter
+class _Port:
+    """This worker's end of the data plane, shared by every step: framing,
+    the mesh counters, and the skip-empty :meth:`exchange` and hoisted
+    one2all :meth:`allgather`.  Batch items are ``(pair, …)`` tuples
+    whose first data part — a record list or a key array — has one entry
+    per record, so one counting rule serves every step."""
 
-    timings = {name: 0.0 for name in PHASE_COUNTERS}
-    inbox = _Inbox([*peer_recv.values(), verdict_conn], timings)
-    ckpt_store = (
-        CheckpointStore(cfg.spool_dir)
-        if cfg.checkpoint_every and cfg.spool_dir
-        else None
-    )
+    def __init__(self, cfg: WorkerConfig, peer_send: dict[int, Any],
+                 inbox: _Inbox, feeder: _Feeder, timings: dict[str, float],
+                 stats: dict[str, Any], timeout: float | None):
+        self.cfg = cfg
+        self.wid = cfg.worker_id
+        self.peers = sorted(peer_send)
+        self.owner_of = cfg.resolved_owner_of()
+        self.sorter = self.owner_of[0]  # hoisted one2all assembly runs here
+        self.inbox = inbox
+        self.timings = timings
+        self.stats = stats
+        self._peer_send = peer_send
+        self._feeder = feeder
+        self._timeout = timeout
 
-    # Static data: deserialized from the init blob exactly once for the
-    # whole job; iterations only ever read it (§3.2.1).  ``static_loads``
-    # is the observable the wall-clock benchmark asserts on.
-    static_parts = cfg.static_parts
-    static_sorted = [
-        {p: sorted_static(per_pair[p]) for p in my_pairs}
-        if phase.mapping == "one2all"
-        else None
-        for phase, per_pair in zip(phases, static_parts)
-    ]
-    stats: dict[str, Any] = {
-        "worker": wid,
-        "pairs": list(my_pairs),
-        "static_loads": 1,
-        "static_records": sum(len(d) for per in static_parts for d in per.values()),
-        "records_sent": 0,
-        "batches_sent": 0,
-        "manifest_frames": 0,
-        "bytes_pickled": 0,
-        "ckpt_writes": 0,
-        "ckpt_bytes": 0,
-    }
+    def fire_faults(self, iteration: int, phase: int) -> None:
+        """Self-inflict any seeded fault scheduled for this exact point."""
+        cfg = self.cfg
+        for fault in cfg.faults:
+            if fault.matches(cfg.generation, cfg.worker_id, iteration, phase):
+                fire_fault(fault)
 
-    # part(key) -> (owner worker, pair), memoized for the job's stable
-    # key universe: after iteration 0 the partitioner never runs again
-    # on the shuffle hot path.
-    route_cache: dict[Any, tuple[int, int]] = {}
-    cached_route = route_cache.get
-
-    def ship(kind: str, iteration: int, phase: int, dest: int, payload) -> None:
-        started = perf()
-        parts, nbytes = encode_frame(kind, iteration, phase, wid, payload)
-        timings["serialize"] += perf() - started
+    def ship(self, kind: str, iteration: int, phase: int, dest: int, payload,
+             records: int = 0) -> None:
+        started = time.perf_counter()
+        parts, nbytes = encode_frame(kind, iteration, phase, self.wid, payload)
+        self.timings["serialize"] += time.perf_counter() - started
+        stats = self.stats
         stats["bytes_pickled"] += nbytes
         if payload is _NO_PAYLOAD:
             stats["manifest_frames"] += 1
         else:
             stats["batches_sent"] += 1
-        feeder.send(peer_send[dest], parts)
+            stats["records_sent"] += records
+        self._feeder.send(self._peer_send[dest], parts)
 
     def exchange(
-        kind: str, iteration: int, phase_index: int,
-        routed: dict[int, dict[tuple[int, int], list]],
-    ) -> dict[int, dict[int, list]]:
-        """Skip-empty send + gather; returns ``dest_pair → src_pair →
-        records`` merged over local and remote batches."""
-        for v in peers:
+        self, kind: str, iteration: int, phase: int, routed: dict[int, list]
+    ) -> dict[int, dict[int, tuple]]:
+        """Skip-empty send + gather of ``dest_worker → [(dest_pair,
+        src_pair, data…), …]`` batches: a data frame to every fed peer,
+        a manifest to every other.  Returns ``dest_pair → src_pair →
+        item`` over the local and the arrived batches."""
+        for v in self.peers:
             batch = routed.get(v)
             if batch:
-                flat = [(q, src, recs) for (q, src), recs in batch.items()]
-                ship(kind, iteration, phase_index, v, flat)
-                stats["records_sent"] += sum(len(recs) for _, _, recs in flat)
+                self.ship(kind, iteration, phase, v, batch,
+                          sum(len(item[2]) for item in batch))
             else:
-                ship(kind, iteration, phase_index, v, _NO_PAYLOAD)
-        merged: dict[int, dict[int, list]] = {}
-        local = routed.get(wid)
-        if local:
-            for (q, src), recs in local.items():
-                merged.setdefault(q, {})[src] = recs
-        arrived = inbox.gather(kind, iteration, phase_index, peers, timeout)
+                self.ship(kind, iteration, phase, v, _NO_PAYLOAD)
+        merged: dict[int, dict[int, tuple]] = {}
+        for item in routed.get(self.wid, ()):
+            merged.setdefault(item[0], {})[item[1]] = item
+        arrived = self.inbox.gather(kind, iteration, phase, self.peers, self._timeout)
         for batch in arrived.values():
             if batch:
-                for q, src, recs in batch:
-                    merged.setdefault(q, {})[src] = recs
+                for item in batch:
+                    merged.setdefault(item[0], {})[item[1]] = item
         return merged
 
-    def route(out_records: dict[int, list]) -> dict[int, dict[tuple[int, int], list]]:
-        """Group emissions as ``dest_worker → (dest_pair, src_pair) →
-        records`` through the memoized route cache."""
+    def allgather(self, iteration: int, phase: int, mine: list, assemble):
+        """Hoisted one2all broadcast (§5.1): every worker ships its
+        ``(pair, data…)`` parts to pair 0's owner, which calls
+        ``assemble(pair → item)`` once — returning ``(broadcast,
+        records)`` — and ships the result to everyone else."""
+        peers = self.peers
+        if self.wid == self.sorter:
+            by_pair = {item[0]: item for item in mine}
+            gathered = self.inbox.gather(BCAST, iteration, phase, peers, self._timeout)
+            for batch in gathered.values():
+                if batch:
+                    for item in batch:
+                        by_pair[item[0]] = item
+            broadcast, records = assemble(by_pair)
+            for v in peers:
+                self.ship(BCAST_SORTED, iteration, phase, v, broadcast, records)
+            return broadcast
+        records = sum(len(item[1]) for item in mine)
+        self.ship(BCAST, iteration, phase, self.sorter,
+                  mine if records else _NO_PAYLOAD, records)
+        got = self.inbox.gather(
+            BCAST_SORTED, iteration, phase, [self.sorter], self._timeout
+        )
+        return got[self.sorter]
+
+
+#: Iteration bound of a loop whose end only a verdict decides.
+_UNBOUNDED = 10**9
+
+
+def _arrivals(merged: dict[int, dict[int, tuple]], q: int) -> list[tuple]:
+    """Pair ``q``'s batch items in ascending source-pair order (not
+    arrival order): float folds must see values in the serial
+    executor's sequence."""
+    by_src = merged.get(q)
+    return [by_src[s] for s in sorted(by_src)] if by_src else []
+
+
+def _records(merged: dict[int, dict[int, tuple]], q: int) -> list:
+    """Pair ``q``'s arrived records, concatenated by :func:`_arrivals`."""
+    return list(chain.from_iterable(item[2] for item in _arrivals(merged, q)))
+
+
+class _SyncStep:
+    """The synchronous steps' shared shape: the handshake follows each
+    iteration, and the report carries the per-pair distance partials
+    (when the job measures one) and the state (when the coordinator
+    consumes it)."""
+
+    pre_round_verdict = False
+
+    def __init__(self, cfg: WorkerConfig, port: _Port):
+        job = cfg.job
+        self.port = port
+        self.num_pairs = cfg.num_pairs
+        self.my_pairs = sorted(cfg.state_parts)
+        self.send_state = cfg.send_state
+        self.measures_distance = job.distance_fn is not None
+        self.max_iterations = (
+            job.max_iterations if job.max_iterations is not None else _UNBOUNDED
+        )
+        #: The record step's memoized key routes; the columnar path
+        #: routes whole arrays and leaves this empty.
+        self.route_cache: dict[Any, tuple[int, int]] = {}
+
+    def final_stats(self) -> dict[str, Any]:
+        return {"route_cache_size": len(self.route_cache)}
+
+    def report(self) -> dict[str, Any]:
+        started = time.perf_counter()
+        report: dict[str, Any] = {}
+        if self.measures_distance:
+            report["distance"] = self._distance_partials()
+        if self.send_state:
+            report["state"] = self.final_state()
+        self.port.timings["report"] += time.perf_counter() - started
+        return report
+
+
+class _RecordStep(_SyncStep):
+    """Record-sync step: the shared :func:`map_pair` (+ combiner), route,
+    ascending-source reduce, and multi-phase repartition (§5.2).
+
+    State is per-pair record lists; ``prev`` (the distance baseline) is
+    rebuilt from the loaded snapshot, which is exact after a recovery
+    respawn too: at the start of iteration k+1 an unfaulted worker's
+    ``prev`` is precisely the state at the end of iteration k, i.e.
+    what the checkpoint holds.
+    """
+
+    path = "record"
+
+    def __init__(self, cfg: WorkerConfig, port: _Port):
+        super().__init__(cfg, port)
+        job = cfg.job
+        self.phases = job.phases
+        self.part = bind_partitioner(job.partitioner, cfg.num_pairs)
+        self.distance_fn = job.distance_fn
+        # Static data: deserialized from the init blob exactly once for
+        # the whole job; iterations only ever read it (§3.2.1).
+        self.static_parts = cfg.static_parts
+        self.static_sorted = [
+            {p: sorted_static(per_pair[p]) for p in self.my_pairs}
+            if phase.mapping == "one2all"
+            else None
+            for phase, per_pair in zip(self.phases, cfg.static_parts)
+        ]
+        started = time.perf_counter()
+        self.current = {p: list(recs) for p, recs in cfg.state_parts.items()}
+        self.prev = (
+            {p: dict(recs) for p, recs in self.current.items()}
+            if self.measures_distance
+            else None
+        )
+        if cfg.start_iteration:
+            port.timings["recover"] += time.perf_counter() - started
+
+    def _route(self, out_records: dict[int, list]) -> dict[int, list]:
+        """Group emissions as ``dest_worker → [(dest_pair, src_pair,
+        records), …]``.  ``part(key) → (owner, pair)`` is memoized for
+        the job's stable key universe: after iteration 0 the partitioner
+        never runs again on the shuffle hot path."""
+        part, owner_of = self.part, self.port.owner_of
+        route_cache = self.route_cache
+        cached_route = route_cache.get
         routed: dict[int, dict[tuple[int, int], list]] = {}
         for src_pair, records in out_records.items():
             for rec in records:
@@ -605,145 +703,359 @@ def _worker_loop(
                 if bucket is None:
                     bucket = dest[slot] = []
                 bucket.append(rec)
-        return routed
+        return {
+            v: [(q, src, recs) for (q, src), recs in slots.items()]
+            for v, slots in routed.items()
+        }
 
-    # State load: the initial partitions, or — after a recovery respawn —
-    # the restored checkpoint's records.  The distance baseline ``prev``
-    # is rebuilt from the same snapshot, which is exact: at the start of
-    # iteration k+1 an unfaulted worker's ``prev`` is precisely the
-    # state at the end of iteration k, i.e. what the checkpoint holds.
-    started = perf()
-    current: dict[int, list] = {p: list(recs) for p, recs in cfg.state_parts.items()}
-    prev: dict[int, dict] | None = (
-        {p: dict(recs) for p, recs in current.items()}
-        if distance_fn is not None
-        else None
-    )
-    if cfg.start_iteration:
-        timings["recover"] += perf() - started
+    def _assemble(self, by_pair: dict[int, tuple]) -> tuple[list, int]:
+        """Flatten every pair's records in ascending pair order and sort
+        once."""
+        started = time.perf_counter()
+        broadcast = sorted(
+            (rec for p in sorted(by_pair) for rec in by_pair[p][1]),
+            key=lambda kv: order_key(kv[0]),
+        )
+        self.port.timings["map"] += time.perf_counter() - started
+        return broadcast, len(broadcast)
 
-    max_iterations = job.max_iterations if job.max_iterations is not None else 10**9
-    iterations_run = cfg.start_iteration
-    terminated_by = ""
-    sorter = owner_of[0]  # hoisted one2all sort runs here
-
-    for iteration in range(cfg.start_iteration, max_iterations):
-        for phase_index, phase in enumerate(phases):
-            if cfg.faults:
-                _fire_faults(cfg, iteration, phase_index)
+    def iterate(self, iteration: int) -> None:
+        port, timings = self.port, self.port.timings
+        my_pairs = self.my_pairs
+        perf = time.perf_counter
+        for phase_index, phase in enumerate(self.phases):
+            port.fire_faults(iteration, phase_index)
+            current = self.current
             broadcast = None
             if phase.mapping == "one2all":
-                # Hoisted all-gather: pair-0's owner flattens in
-                # ascending pair order and sorts once; everyone else
-                # receives the broadcast pre-sorted (§5.1).
-                mine = [(p, current.get(p, [])) for p in my_pairs]
-                if wid == sorter:
-                    gathered = inbox.gather(BCAST, iteration, phase_index, peers, timeout)
-                    by_pair = dict(mine)
-                    for batch in gathered.values():
-                        if batch:
-                            for p, recs in batch:
-                                by_pair[p] = recs
-                    started = perf()
-                    broadcast = sorted(
-                        (
-                            rec
-                            for p in range(num_pairs)
-                            for rec in by_pair.get(p, ())
-                        ),
-                        key=lambda kv: order_key(kv[0]),
-                    )
-                    timings["map"] += perf() - started
-                    for v in peers:
-                        ship(BCAST_SORTED, iteration, phase_index, v, broadcast)
-                        stats["records_sent"] += len(broadcast)
-                else:
-                    if any(recs for _, recs in mine):
-                        ship(BCAST, iteration, phase_index, sorter, mine)
-                        stats["records_sent"] += sum(len(r) for _, r in mine)
-                    else:
-                        ship(BCAST, iteration, phase_index, sorter, _NO_PAYLOAD)
-                    got = inbox.gather(
-                        BCAST_SORTED, iteration, phase_index, [sorter], timeout
-                    )
-                    broadcast = got[sorter]
+                broadcast = port.allgather(
+                    iteration, phase_index,
+                    [(p, current.get(p, [])) for p in my_pairs], self._assemble,
+                )
 
             # ---- map (+ combiner), then route to the reduce side ----
-            phase_static = static_parts[phase_index]
-            phase_sorted = static_sorted[phase_index]
-            emitted_by_pair: dict[int, list] = {}
-            for p in my_pairs:
-                emitted_by_pair[p] = map_pair(
+            phase_static = self.static_parts[phase_index]
+            phase_sorted = self.static_sorted[phase_index]
+            emitted_by_pair = {
+                p: map_pair(
                     phase,
                     current.get(p, []),
                     phase_static[p],
                     phase_sorted[p] if phase_sorted is not None else None,
                     broadcast,
-                    part,
+                    self.part,
                     timings=timings,
                 )
-            merged = exchange(
-                SHUFFLE, iteration, phase_index, route(emitted_by_pair)
+                for p in my_pairs
+            }
+            merged = port.exchange(
+                SHUFFLE, iteration, phase_index, self._route(emitted_by_pair)
             )
 
             # ---- reduce ----
-            # Reduce inputs are concatenated in ascending source-pair
-            # order (not arrival order): float folds must see values in
-            # the serial executor's sequence.
             started = perf()
             out_parts: dict[int, list] = {}
             for q in my_pairs:
-                records: list = []
-                by_src = merged.get(q)
-                if by_src:
-                    for src_pair in range(num_pairs):
-                        recs = by_src.get(src_pair)
-                        if recs:
-                            records.extend(recs)
                 ctx = Context()
-                for key, values in group_by_key(records):
+                for key, values in group_by_key(_records(merged, q)):
                     phase.reduce_fn(key, values, ctx)
                 out_parts[q] = ctx.take()
             timings["reduce"] += perf() - started
 
-            if phase_index == last_phase:
+            if phase_index == len(self.phases) - 1:
                 # Persistent pair channel: reduce k's output is map k+1's
                 # input for the same pair, never leaving this process.
-                current = out_parts
+                self.current = out_parts
             else:
                 # Multi-phase routing (§5.2): repartition to the next
                 # phase's maps across the mesh.
-                merged = exchange(REPART, iteration, phase_index, route(out_parts))
-                current = {}
-                for p in my_pairs:
-                    records = []
-                    by_src = merged.get(p)
-                    if by_src:
-                        for src_pair in range(num_pairs):
-                            recs = by_src.get(src_pair)
-                            if recs:
-                                records.extend(recs)
-                    current[p] = records
+                merged = port.exchange(
+                    REPART, iteration, phase_index, self._route(out_parts)
+                )
+                self.current = {p: _records(merged, p) for p in my_pairs}
 
-        iterations_run = iteration + 1
+    def _distance_partials(self) -> dict[int, float]:
+        distance_fn, prev = self.distance_fn, self.prev
+        partials = {}
+        for p in self.my_pairs:
+            prev_get = prev[p].get
+            partial = 0.0
+            new_prev = {}  # built during the distance pass: no
+            for key, value in self.current.get(p, ()):  # second rebuild
+                partial += distance_fn(key, prev_get(key), value)
+                new_prev[key] = value
+            partials[p] = partial
+            prev[p] = new_prev
+        return partials
 
-        # ---- per-iteration control-plane report ----
+    def final_state(self) -> dict[int, list]:
+        return {p: self.current.get(p, []) for p in self.my_pairs}
+
+    checkpoint = final_state
+
+
+
+class _KernelStep(_SyncStep):
+    """Kernel-sync step: one ``map_kernel`` + vectorized route, merge and
+    ``finalize`` per pair on ``(keys, values)`` arrays, which cross the
+    mesh as out-of-band buffers.  Merges and broadcast assembly follow
+    the serial columnar executor's order, so kernel-parallel results are
+    bit-equal to kernel-serial ones.  Reports and the final state decode
+    to records (the coordinator is path-agnostic); checkpoints keep the
+    arrays."""
+
+    path = "kernel"
+
+    def __init__(self, cfg: WorkerConfig, port: _Port):
+        super().__init__(cfg, port)
+        job = cfg.job
+        kernel = self.kernel = job.kernel
+        self.one2all = job.phases[0].mapping == "one2all"
+        self.part_array = job.partitioner.bind_array(cfg.num_pairs)
+        timings = port.timings
+
+        # A respawn after recovery (start_iteration > 0) loads a
+        # restored checkpoint, which already holds the encoded
+        # (keys, values) arrays — the ``recover`` phase; the initial
+        # encode from records is ``kernel`` time.
+        restored = cfg.start_iteration > 0
+        started = time.perf_counter()
+        self.owned: dict[int, Any] = {}
+        self.values: dict[int, Any] = {}
+        for p in self.my_pairs:
+            self.owned[p], self.values[p] = (
+                cfg.state_parts[p]
+                if restored
+                else encode_columnar(
+                    cfg.state_parts[p], kernel.state_dtype, kernel.state_width
+                )
+            )
+        timings["recover" if restored else "kernel"] += time.perf_counter() - started
+        started = time.perf_counter()
+        static_tables = cfg.static_parts[0]
+        self.prepared = {
+            p: kernel.prepare(p, self.owned[p], static_tables[p])
+            for p in self.my_pairs
+        }
+        timings["kernel"] += time.perf_counter() - started
+        self.prev = (
+            {p: self.values[p].copy() for p in self.my_pairs}
+            if self.measures_distance
+            else None
+        )
+
+    def _assemble(self, by_pair: dict[int, tuple]) -> tuple[tuple, int]:
+        """Concatenate every pair's columns and sort the unique key
+        array once."""
+        started = time.perf_counter()
+        broadcast = concat_broadcast([by_pair[p][1:] for p in sorted(by_pair)])
+        self.port.timings["kernel"] += time.perf_counter() - started
+        return broadcast, int(broadcast[0].size)
+
+    def iterate(self, iteration: int) -> None:
+        port, timings = self.port, self.port.timings
+        kernel, owned, values = self.kernel, self.owned, self.values
+        my_pairs, num_pairs = self.my_pairs, self.num_pairs
+        owner_of = port.owner_of
+        port.fire_faults(iteration, 0)
+        broadcast = None
+        if self.one2all:
+            broadcast = port.allgather(
+                iteration, 0, [(p, owned[p], values[p]) for p in my_pairs],
+                self._assemble,
+            )
+
+        # ---- map + route (columnar) ----
+        started = time.perf_counter()
+        routed: dict[int, list] = {}  # dest worker -> [(q, src, keys, vals)]
+        for p in my_pairs:
+            out_keys, out_vals = kernel.map_kernel(
+                p, owned[p], values[p], self.prepared[p], broadcast
+            )
+            for q, ks, vs in route_columnar(
+                out_keys, out_vals, self.part_array, num_pairs
+            ):
+                routed.setdefault(owner_of[q], []).append((q, p, ks, vs))
+        timings["kernel"] += time.perf_counter() - started
+
+        merged = port.exchange(SHUFFLE, iteration, 0, routed)
+
+        # ---- vectorized merge + finalize, ascending source order ----
+        started = time.perf_counter()
+        for q in my_pairs:
+            if owned[q].size == 0:
+                continue
+            batches = [item[2:] for item in _arrivals(merged, q)]
+            acc = merge_columnar(kernel, owned[q], batches)
+            values[q] = kernel.finalize(q, owned[q], acc, values[q], self.prepared[q])
+        timings["kernel"] += time.perf_counter() - started
+
+    def _distance_partials(self) -> dict[int, float]:
+        owned, values, prev = self.owned, self.values, self.prev
+        partials = {}
+        for p in self.my_pairs:
+            partials[p] = (
+                self.kernel.distance_partial(owned[p], prev[p], values[p])
+                if owned[p].size
+                else 0.0
+            )
+            prev[p] = values[p].copy()
+        return partials
+
+    def checkpoint(self) -> dict[int, tuple]:
+        """The encoded arrays ride the same protocol-5 out-of-band
+        buffer path to disk that they ride over the mesh."""
+        return {p: (self.owned[p], self.values[p]) for p in self.my_pairs}
+
+    def final_state(self) -> dict[int, list]:
+        return {
+            p: decode_columnar(self.owned[p], self.values[p]) for p in self.my_pairs
+        }
+
+
+
+class _AccumStep:
+    """Accum step (Maiter mode): select, apply + emit, and absorb on one
+    :class:`AccumPair` per hosted pair, in
+    :func:`~repro.imapreduce.localrun.run_accum_local`'s operation order.
+
+    Rounds are mass-checked *before* they execute (``pre_round_verdict``):
+    the report carries the per-pair pending-priority masses (round 0
+    reports the initial deltas' mass) plus cumulative work counters.
+    ``cfg.accum_mode`` selects sync or top-fraction async scheduling;
+    only nonzero delta batches cross the mesh.
+    """
+
+    pre_round_verdict = True
+    max_iterations = _UNBOUNDED  # the coordinator's verdict ends the run
+
+    def __init__(self, cfg: WorkerConfig, port: _Port):
+        job = self.job = cfg.job
+        self.port = port
+        self.mode = cfg.accum_mode
+        self.num_pairs = cfg.num_pairs
+        self.my_pairs = sorted(cfg.state_parts)
+        self.part = bind_partitioner(job.partitioner, cfg.num_pairs)
+        static_tables = cfg.static_parts[0]
+        warm = cfg.accum_initial_state or {}
+        self.pairs = {
+            p: AccumPair(p, job.accumulator, static_tables[p],
+                         keys=static_tables[p], initial_state=warm.get(p))
+            for p in self.my_pairs
+        }
+        for p in self.my_pairs:
+            self.pairs[p].absorb(cfg.state_parts[p])
+        self.shipped = 0  # cumulative cross-pair delta records
+
+    def iterate(self, rnd: int) -> None:
+        port, timings = self.port, self.port.timings
+        pairs, my_pairs, num_pairs = self.pairs, self.my_pairs, self.num_pairs
+        perf = time.perf_counter
+
+        # ---- select (priority queues) ----
         started = perf()
-        report: dict[str, Any] = {}
-        if distance_fn is not None and prev is not None:
-            partials = {}
-            for p in my_pairs:
-                prev_get = prev[p].get
-                partial = 0.0
-                new_prev = {}  # built during the distance pass: no
-                for key, value in current.get(p, ()):  # second rebuild
-                    partial += distance_fn(key, prev_get(key), value)
-                    new_prev[key] = value
-                partials[p] = partial
-                prev[p] = new_prev
-            report["distance"] = partials
-        if cfg.send_state:
-            report["state"] = {p: current.get(p, []) for p in my_pairs}
+        frac = self.job.top_fraction
+        selections = {p: pairs[p].select(self.mode, frac) for p in my_pairs}
+        timings["schedule"] += perf() - started
+
+        # ---- apply + emit ----
+        started = perf()
+        routed: dict[int, list] = {}
+        for p in my_pairs:
+            outbox: list[list] = [[] for _ in range(num_pairs)]
+            pairs[p].apply(self.job, selections[p], self.part, outbox)
+            for q, recs in enumerate(outbox):
+                if recs:
+                    routed.setdefault(port.owner_of[q], []).append((q, p, recs))
+                    if q != p:
+                        self.shipped += len(recs)
+        timings["delta"] += perf() - started
+
+        merged = port.exchange(SHUFFLE, rnd, 0, routed)
+
+        # ---- absorb (ascending source-pair order) ----
+        started = perf()
+        for q in my_pairs:
+            target = pairs[q]
+            for item in _arrivals(merged, q):
+                target.absorb(item[2])
+        timings["delta"] += perf() - started
+
+    def report(self) -> dict[str, Any]:
+        started = time.perf_counter()
+        pairs, my_pairs = self.pairs, self.my_pairs
+        masses = {p: pairs[p].mass() for p in my_pairs}
+        self.port.timings["schedule"] += time.perf_counter() - started
+        return {
+            "mass": masses,
+            "updates": sum(pairs[p].updates_processed for p in my_pairs),
+            "emitted": sum(pairs[p].deltas_emitted for p in my_pairs),
+            "shipped": self.shipped,
+        }
+
+    def final_state(self) -> dict[int, list]:
+        return {p: self.pairs[p].final_records() for p in self.my_pairs}
+
+    def final_stats(self) -> dict[str, Any]:
+        pairs = self.pairs.values()
+        return {
+            "updates_processed": sum(pair.updates_processed for pair in pairs),
+            "deltas_emitted": sum(pair.deltas_emitted for pair in pairs),
+            "deltas_shipped": self.shipped,
+        }
+
+
+def _worker_loop(
+    cfg: WorkerConfig,
+    peer_recv: dict[int, Any],
+    peer_send: dict[int, Any],
+    verdict_conn,
+    report_conn,
+    feeder: _Feeder,
+    timeout: float | None,
+) -> None:
+    """The one worker iteration loop, for every job kind (see the module
+    docstring): the job kind picks the step; synchronous steps report
+    after each iteration, the accum step before each round."""
+    wid = cfg.worker_id
+    perf = time.perf_counter
+    timings = {name: 0.0 for name in PHASE_COUNTERS}
+    # ``static_loads`` is the observable the wall-clock benchmark
+    # asserts on: static partitions are deserialized once per worker.
+    stats: dict[str, Any] = {
+        "worker": wid,
+        "pairs": sorted(cfg.state_parts),
+        "static_loads": 1,
+        "static_records": sum(len(d) for per in cfg.static_parts for d in per.values()),
+        "records_sent": 0,
+        "batches_sent": 0,
+        "manifest_frames": 0,
+        "bytes_pickled": 0,
+        "ckpt_writes": 0,
+        "ckpt_bytes": 0,
+    }
+    inbox = _Inbox([*peer_recv.values(), verdict_conn], timings)
+    port = _Port(cfg, peer_send, inbox, feeder, timings, stats, timeout)
+    if isinstance(cfg.job, AccumJob):
+        step = _AccumStep(cfg, port)
+    elif kernel_enabled(cfg.job):
+        step = _KernelStep(cfg, port)
+    else:
+        step = _RecordStep(cfg, port)
+    ckpt_store = (
+        CheckpointStore(cfg.spool_dir)
+        if cfg.checkpoint_every and cfg.spool_dir
+        else None
+    )
+
+    terminated_by = ""
+
+    def handshake(iteration: int) -> bool:
+        """Report, checkpoint, and await the verdict if the coordinator
+        decides termination; returns whether to go on."""
+        nonlocal terminated_by
+        report = step.report()
+        started = perf()
         if report or cfg.wait_verdict:
             parts, nbytes = encode_frame(ITER_REPORT, iteration, 0, wid, report)
             stats["bytes_pickled"] += nbytes
@@ -759,7 +1071,7 @@ def _worker_loop(
             started = perf()
             entry = ckpt_store.write(
                 cfg.generation, iteration, wid,
-                {"path": "record", "pairs": {p: current.get(p, []) for p in my_pairs}},
+                {"path": step.path, "pairs": step.checkpoint()},
             )
             stats["ckpt_writes"] += 1
             stats["ckpt_bytes"] += entry["bytes"]
@@ -767,438 +1079,28 @@ def _worker_loop(
             feeder.send(report_conn, parts)
             timings["checkpoint"] += perf() - started
 
-        if cfg.wait_verdict:
+        if cfg.wait_verdict:  # maxiter-only jobs free-run
             verdict = inbox.verdict(iteration, timeout)
             if verdict != CONTINUE:
                 terminated_by = verdict
-                break
+                return False
+        return True
+
+    iterations_run = cfg.start_iteration
+    for iteration in range(cfg.start_iteration, step.max_iterations):
+        if step.pre_round_verdict and not handshake(iteration):
+            break
+        step.iterate(iteration)
+        iterations_run = iteration + 1
+        if not step.pre_round_verdict and not handshake(iteration):
+            break
 
     feeder.flush()  # pick up the feeder's write time before reporting
     timings["send"] = feeder.seconds
     stats["phase_seconds"] = {k: round(v, 6) for k, v in timings.items()}
-    stats["route_cache_size"] = len(route_cache)
+    stats.update(step.final_stats())
     final = {
-        "state": {p: current.get(p, []) for p in my_pairs},
-        "iterations_run": iterations_run,
-        "terminated_by": terminated_by,
-        "stats": stats,
-    }
-    parts, _ = encode_frame(FINAL_REPORT, iterations_run, 0, wid, final)
-    feeder.send(report_conn, parts)
-
-
-def _worker_loop_accum(
-    cfg: WorkerConfig,
-    peer_recv: dict[int, Any],
-    peer_send: dict[int, Any],
-    verdict_conn,
-    report_conn,
-    feeder: _Feeder,
-    timeout: float | None,
-) -> None:
-    """Accumulative (Maiter-mode) worker loop.
-
-    Rounds are mass-checked *before* they execute: at the top of each
-    round the worker reports its per-pair pending-priority masses (round
-    0 reports the initial deltas' mass) plus its cumulative work
-    counters, then blocks on the coordinator's verdict.  On CONTINUE it
-    drains its pairs' priority queues (``cfg.accum_mode`` selects sync
-    or top-fraction async scheduling), applies the deltas, and exchanges
-    only the nonzero delta batches over the skip-empty shuffle — a
-    silent pair costs one manifest frame, and a converged worker's
-    entire round is manifests.
-
-    Determinism contract: pairs ascending, arriving batches absorbed in
-    ascending source-pair order, and the coordinator folds per-pair
-    masses in ascending pair order — the exact operation sequence of
-    :func:`~repro.imapreduce.localrun.run_accum_local`, so serial and
-    parallel runs of the same mode are record-for-record identical
-    (floats included).
-    """
-    job = cfg.job
-    wid = cfg.worker_id
-    num_pairs = cfg.num_pairs
-    mode = cfg.accum_mode
-    frac = job.top_fraction
-    my_pairs = sorted(cfg.state_parts)
-    peers = sorted(peer_recv)
-    part = bind_partitioner(job.partitioner, num_pairs)
-    owner_of = cfg.resolved_owner_of()
-    perf = time.perf_counter
-
-    timings = {name: 0.0 for name in PHASE_COUNTERS}
-    inbox = _Inbox([*peer_recv.values(), verdict_conn], timings)
-
-    static_tables = cfg.static_parts[0]
-    stats: dict[str, Any] = {
-        "worker": wid,
-        "pairs": list(my_pairs),
-        "static_loads": 1,
-        "static_records": sum(len(d) for d in static_tables.values()),
-        "records_sent": 0,
-        "batches_sent": 0,
-        "manifest_frames": 0,
-        "bytes_pickled": 0,
-        "ckpt_writes": 0,
-        "ckpt_bytes": 0,
-    }
-
-    warm = cfg.accum_initial_state or {}
-    pairs = {
-        p: AccumPair(
-            p,
-            job.accumulator,
-            static_tables[p],
-            keys=static_tables[p],
-            initial_state=warm.get(p),
-        )
-        for p in my_pairs
-    }
-    for p in my_pairs:
-        pairs[p].absorb(cfg.state_parts[p])
-
-    def ship(kind: str, iteration: int, dest: int, payload) -> None:
-        started = perf()
-        parts, nbytes = encode_frame(kind, iteration, 0, wid, payload)
-        timings["serialize"] += perf() - started
-        stats["bytes_pickled"] += nbytes
-        if payload is _NO_PAYLOAD:
-            stats["manifest_frames"] += 1
-        else:
-            stats["batches_sent"] += 1
-        feeder.send(peer_send[dest], parts)
-
-    def exchange(
-        iteration: int, routed: dict[int, dict[tuple[int, int], list]]
-    ) -> dict[int, dict[int, list]]:
-        """Skip-empty delta send + gather (the synchronous loop's
-        contract verbatim): data frames only to fed destinations,
-        manifests elsewhere, merged as dest_pair → src_pair → records."""
-        for v in peers:
-            batch = routed.get(v)
-            if batch:
-                flat = [(q, src, recs) for (q, src), recs in batch.items()]
-                ship(SHUFFLE, iteration, v, flat)
-                stats["records_sent"] += sum(len(recs) for _, _, recs in flat)
-            else:
-                ship(SHUFFLE, iteration, v, _NO_PAYLOAD)
-        merged: dict[int, dict[int, list]] = {}
-        local = routed.get(wid)
-        if local:
-            for (q, src), recs in local.items():
-                merged.setdefault(q, {})[src] = recs
-        arrived = inbox.gather(SHUFFLE, iteration, 0, peers, timeout)
-        for batch in arrived.values():
-            if batch:
-                for q, src, recs in batch:
-                    merged.setdefault(q, {})[src] = recs
-        return merged
-
-    shipped = 0  # cumulative cross-pair delta records
-    rnd = 0
-    terminated_by = ""
-
-    while True:
-        # ---- pre-round mass report + verdict ----
-        started = perf()
-        masses = {p: pairs[p].mass() for p in my_pairs}
-        timings["schedule"] += perf() - started
-        started = perf()
-        report = {
-            "mass": masses,
-            "updates": sum(pairs[p].updates_processed for p in my_pairs),
-            "emitted": sum(pairs[p].deltas_emitted for p in my_pairs),
-            "shipped": shipped,
-        }
-        parts, nbytes = encode_frame(ITER_REPORT, rnd, 0, wid, report)
-        stats["bytes_pickled"] += nbytes
-        feeder.send(report_conn, parts)
-        timings["report"] += perf() - started
-        verdict = inbox.verdict(rnd, timeout)
-        if verdict != CONTINUE:
-            terminated_by = verdict
-            break
-
-        # ---- select (priority queues) ----
-        started = perf()
-        selections = {p: pairs[p].select(mode, frac) for p in my_pairs}
-        timings["schedule"] += perf() - started
-
-        # ---- apply + emit ----
-        started = perf()
-        outboxes = {p: [[] for _ in range(num_pairs)] for p in my_pairs}
-        for p in my_pairs:
-            pairs[p].apply(job, selections[p], part, outboxes[p])
-        routed: dict[int, dict[tuple[int, int], list]] = {}
-        for p in my_pairs:
-            for q in range(num_pairs):
-                recs = outboxes[p][q]
-                if recs:
-                    routed.setdefault(owner_of[q], {})[(q, p)] = recs
-                    if q != p:
-                        shipped += len(recs)
-        timings["delta"] += perf() - started
-
-        merged = exchange(rnd, routed)
-
-        # ---- absorb (ascending source-pair order) ----
-        started = perf()
-        for q in my_pairs:
-            by_src = merged.get(q)
-            if by_src:
-                target = pairs[q]
-                for src in range(num_pairs):
-                    recs = by_src.get(src)
-                    if recs:
-                        target.absorb(recs)
-        timings["delta"] += perf() - started
-        rnd += 1
-
-    feeder.flush()
-    timings["send"] = feeder.seconds
-    stats["phase_seconds"] = {k: round(v, 6) for k, v in timings.items()}
-    stats["updates_processed"] = sum(pairs[p].updates_processed for p in my_pairs)
-    stats["deltas_emitted"] = sum(pairs[p].deltas_emitted for p in my_pairs)
-    stats["deltas_shipped"] = shipped
-    final = {
-        "state": {p: pairs[p].final_records() for p in my_pairs},
-        "iterations_run": rnd,
-        "terminated_by": terminated_by,
-        "stats": stats,
-    }
-    parts, _ = encode_frame(FINAL_REPORT, rnd, 0, wid, final)
-    feeder.send(report_conn, parts)
-
-
-def _worker_loop_kernel(
-    cfg: WorkerConfig,
-    peer_recv: dict[int, Any],
-    peer_send: dict[int, Any],
-    verdict_conn,
-    report_conn,
-    feeder: _Feeder,
-    timeout: float | None,
-) -> None:
-    """The columnar twin of :func:`_worker_loop` for kernel-enabled jobs.
-
-    State lives as per-pair ``(keys, values)`` arrays; each iteration is
-    one ``map_kernel`` + one vectorized merge per pair.  Cross-pair
-    traffic stays columnar end-to-end: shuffle payloads are flat
-    ``[(dest_pair, src_pair, keys, values), ...]`` lists whose arrays
-    ride the protocol-5 out-of-band buffer frames without per-record
-    pickling.  The determinism contract is the serial columnar
-    executor's: merges concatenate batches in ascending source-pair
-    order and broadcast assembly sorts the same unique key array, so
-    kernel-parallel results are bit-equal to kernel-serial ones.
-    Control-plane reports decode to records, so the coordinator is
-    path-agnostic.
-    """
-    job = cfg.job
-    kernel = job.kernel
-    wid = cfg.worker_id
-    num_pairs = cfg.num_pairs
-    phase = job.phases[0]
-    one2all = phase.mapping == "one2all"
-    my_pairs = sorted(cfg.state_parts)
-    peers = sorted(peer_recv)
-    part_array = job.partitioner.bind_array(num_pairs)
-    distance_fn = job.distance_fn
-    owner_of = cfg.resolved_owner_of()
-    perf = time.perf_counter
-
-    timings = {name: 0.0 for name in PHASE_COUNTERS}
-    inbox = _Inbox([*peer_recv.values(), verdict_conn], timings)
-    ckpt_store = (
-        CheckpointStore(cfg.spool_dir)
-        if cfg.checkpoint_every and cfg.spool_dir
-        else None
-    )
-
-    # ---- columnar partition load: encode state, build static columns --
-    # A restored checkpoint already holds the encoded (keys, values)
-    # arrays — loading them back is the ``recover`` phase; the initial
-    # encode from records is ``kernel`` time as before.
-    started = perf()
-    owned: dict[int, Any] = {}
-    values: dict[int, Any] = {}
-    if cfg.columnar_state:
-        for p in my_pairs:
-            owned[p], values[p] = cfg.state_parts[p]
-    else:
-        for p in my_pairs:
-            owned[p], values[p] = encode_columnar(
-                cfg.state_parts[p], kernel.state_dtype, kernel.state_width
-            )
-    timings["recover" if cfg.columnar_state else "kernel"] += perf() - started
-    started = perf()
-    static_tables = cfg.static_parts[0]
-    prepared = {p: kernel.prepare(p, owned[p], static_tables[p]) for p in my_pairs}
-    timings["kernel"] += perf() - started
-
-    stats: dict[str, Any] = {
-        "worker": wid,
-        "pairs": list(my_pairs),
-        "static_loads": 1,
-        "static_records": sum(
-            len(d) for per in cfg.static_parts for d in per.values()
-        ),
-        "records_sent": 0,
-        "batches_sent": 0,
-        "manifest_frames": 0,
-        "bytes_pickled": 0,
-        "ckpt_writes": 0,
-        "ckpt_bytes": 0,
-    }
-
-    def ship(kind: str, iteration: int, dest: int, payload) -> None:
-        started = perf()
-        parts, nbytes = encode_frame(kind, iteration, 0, wid, payload)
-        timings["serialize"] += perf() - started
-        stats["bytes_pickled"] += nbytes
-        if payload is _NO_PAYLOAD:
-            stats["manifest_frames"] += 1
-        else:
-            stats["batches_sent"] += 1
-        feeder.send(peer_send[dest], parts)
-
-    def decoded_state() -> dict[int, list]:
-        return {p: decode_columnar(owned[p], values[p]) for p in my_pairs}
-
-    prev: dict[int, Any] | None = (
-        {p: values[p].copy() for p in my_pairs}
-        if distance_fn is not None
-        else None
-    )
-
-    max_iterations = job.max_iterations if job.max_iterations is not None else 10**9
-    iterations_run = cfg.start_iteration
-    terminated_by = ""
-    sorter = owner_of[0]
-
-    for iteration in range(cfg.start_iteration, max_iterations):
-        if cfg.faults:
-            _fire_faults(cfg, iteration, 0)
-        broadcast = None
-        if one2all:
-            # Hoisted all-gather, columnar: pair-0's owner concatenates
-            # every pair's (keys, values) and sorts the unique key array
-            # once; the sorted broadcast ships back as two arrays.
-            mine = [(p, owned[p], values[p]) for p in my_pairs]
-            if wid == sorter:
-                gathered = inbox.gather(BCAST, iteration, 0, peers, timeout)
-                parts_by_pair = {p: (k, v) for p, k, v in mine}
-                for batch in gathered.values():
-                    if batch:
-                        for p, k, v in batch:
-                            parts_by_pair[p] = (k, v)
-                started = perf()
-                broadcast = concat_broadcast(
-                    [parts_by_pair[p] for p in sorted(parts_by_pair)]
-                )
-                timings["kernel"] += perf() - started
-                for v in peers:
-                    ship(BCAST_SORTED, iteration, v, broadcast)
-                    stats["records_sent"] += int(broadcast[0].size)
-            else:
-                if any(k.size for _, k, _ in mine):
-                    ship(BCAST, iteration, sorter, mine)
-                    stats["records_sent"] += sum(int(k.size) for _, k, _ in mine)
-                else:
-                    ship(BCAST, iteration, sorter, _NO_PAYLOAD)
-                got = inbox.gather(BCAST_SORTED, iteration, 0, [sorter], timeout)
-                broadcast = got[sorter]
-
-        # ---- map + route (columnar) ----
-        started = perf()
-        routed: dict[int, list] = {}  # dest worker -> [(q, src, keys, vals)]
-        for p in my_pairs:
-            out_keys, out_vals = kernel.map_kernel(
-                p, owned[p], values[p], prepared[p], broadcast
-            )
-            for q, ks, vs in route_columnar(out_keys, out_vals, part_array, num_pairs):
-                routed.setdefault(owner_of[q], []).append((q, p, ks, vs))
-        timings["kernel"] += perf() - started
-
-        # ---- skip-empty exchange ----
-        for v in peers:
-            batch = routed.get(v)
-            if batch:
-                ship(SHUFFLE, iteration, v, batch)
-                stats["records_sent"] += sum(int(ks.size) for _, _, ks, _ in batch)
-            else:
-                ship(SHUFFLE, iteration, v, _NO_PAYLOAD)
-        merged: dict[int, dict[int, tuple]] = {}  # q -> src -> (keys, vals)
-        for q, src, ks, vs in routed.get(wid, ()):
-            merged.setdefault(q, {})[src] = (ks, vs)
-        arrived = inbox.gather(SHUFFLE, iteration, 0, peers, timeout)
-        for batch in arrived.values():
-            if batch:
-                for q, src, ks, vs in batch:
-                    merged.setdefault(q, {})[src] = (ks, vs)
-
-        # ---- vectorized merge + finalize, ascending source order ----
-        started = perf()
-        for q in my_pairs:
-            if owned[q].size == 0:
-                continue
-            by_src = merged.get(q, {})
-            batches = [by_src[s] for s in range(num_pairs) if s in by_src]
-            acc = merge_columnar(kernel, owned[q], batches)
-            values[q] = kernel.finalize(q, owned[q], acc, values[q], prepared[q])
-        timings["kernel"] += perf() - started
-        iterations_run = iteration + 1
-
-        # ---- per-iteration control-plane report ----
-        started = perf()
-        report: dict[str, Any] = {}
-        if distance_fn is not None and prev is not None:
-            partials = {}
-            for p in my_pairs:
-                partials[p] = (
-                    kernel.distance_partial(owned[p], prev[p], values[p])
-                    if owned[p].size
-                    else 0.0
-                )
-                prev[p] = values[p].copy()
-            report["distance"] = partials
-        if cfg.send_state:
-            report["state"] = decoded_state()
-        if report or cfg.wait_verdict:
-            parts, nbytes = encode_frame(ITER_REPORT, iteration, 0, wid, report)
-            stats["bytes_pickled"] += nbytes
-            feeder.send(report_conn, parts)
-        timings["report"] += perf() - started
-
-        # ---- durable checkpoint, columnar (§3.4.1): the encoded
-        # (keys, values) arrays ride the same protocol-5 out-of-band
-        # buffer path to disk that they ride over the mesh ----
-        if ckpt_store is not None and (iteration + 1) % cfg.checkpoint_every == 0:
-            started = perf()
-            entry = ckpt_store.write(
-                cfg.generation, iteration, wid,
-                {
-                    "path": "kernel",
-                    "pairs": {p: (owned[p], values[p]) for p in my_pairs},
-                },
-            )
-            stats["ckpt_writes"] += 1
-            stats["ckpt_bytes"] += entry["bytes"]
-            parts, _ = encode_frame(CKPT_REPORT, iteration, 0, wid, entry)
-            feeder.send(report_conn, parts)
-            timings["checkpoint"] += perf() - started
-
-        if cfg.wait_verdict:
-            verdict = inbox.verdict(iteration, timeout)
-            if verdict != CONTINUE:
-                terminated_by = verdict
-                break
-
-    feeder.flush()
-    timings["send"] = feeder.seconds
-    stats["phase_seconds"] = {k: round(v, 6) for k, v in timings.items()}
-    stats["route_cache_size"] = 0  # no per-key routing on the kernel path
-    final = {
-        "state": decoded_state(),
+        "state": step.final_state(),
         "iterations_run": iterations_run,
         "terminated_by": terminated_by,
         "stats": stats,

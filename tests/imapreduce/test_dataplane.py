@@ -18,10 +18,11 @@ import pytest
 
 from repro.common import IterKeys, JobConf
 from repro.common.partition import ModPartitioner
-from repro.graph.generators import sssp_graph
+from repro.graph.generators import pagerank_graph, sssp_graph
 from repro.imapreduce import (
     IterativeJob,
     ParallelExecutionError,
+    run_accum_parallel,
     run_local,
     run_parallel,
 )
@@ -130,26 +131,67 @@ def test_single_hot_pair_skips_empty_batches(start_method):
     assert par.counter("records_sent") == 12  # iteration 0 only
 
 
-def test_counters_and_profiler_surface_in_stats():
-    graph = sssp_graph(20, seed=3)
-    from repro.algorithms import sssp
+def _profiled_run(path):
+    """One small 2-worker run on the given worker-loop path."""
+    from repro.algorithms import pagerank, sssp
 
+    graph = sssp_graph(20, seed=3)
+    static = {"/dp/static": sssp.static_records(graph)}
+    if path == "accum":
+        job = sssp.build_accum_job(
+            state_path=STATE, static_path="/dp/static", output_path=OUT,
+            max_rounds=1_000,
+        )
+        return run_accum_parallel(
+            job, sssp.accum_initial_deltas(0), static,
+            num_pairs=4, num_workers=2,
+        )
+    if path == "kernel":
+        graph = pagerank_graph(20, seed=3)
+        job = pagerank.build_imr_job(
+            20, state_path=STATE, static_path="/dp/static", output_path=OUT,
+            max_iterations=3, threshold=1e-9, use_kernel=True,
+        )
+        return run_parallel(
+            job, pagerank.initial_state(graph),
+            {"/dp/static": pagerank.static_records(graph)},
+            num_pairs=4, num_workers=2,
+        )
     job = sssp.build_imr_job(
         state_path=STATE, static_path="/dp/static", output_path=OUT,
         max_iterations=3, num_pairs=4, combiner=True,
     )
-    par = run_parallel(
-        job, sssp.initial_state(graph, source=0),
-        {"/dp/static": sssp.static_records(graph)},
+    return run_parallel(
+        job, sssp.initial_state(graph, source=0), static,
         num_pairs=4, num_workers=2,
     )
+
+
+@pytest.mark.parametrize("path", ["record", "kernel", "accum"])
+def test_counters_and_profiler_surface_in_stats(path):
+    par = _profiled_run(path)
     for stats in par.worker_stats:
         assert set(stats["phase_seconds"]) == set(PHASE_COUNTERS)
         assert all(v >= 0.0 for v in stats["phase_seconds"].values())
-        # The route cache covers the worker's emitted key universe and
-        # is bounded by the number of distinct keys in the workload.
-        assert 0 < stats["route_cache_size"] <= 20
-    assert set(par.phase_breakdown()) == set(PHASE_COUNTERS)
+        assert stats["static_loads"] == 1
+        for name in ("records_sent", "batches_sent", "manifest_frames",
+                     "bytes_pickled"):
+            assert name in stats
+        if path == "record":
+            # The route cache covers the worker's emitted key universe
+            # and is bounded by the number of distinct keys in the
+            # workload.
+            assert 0 < stats["route_cache_size"] <= 20
+    phases = {}
+    for stats in par.worker_stats:
+        for phase, seconds in stats["phase_seconds"].items():
+            phases[phase] = phases.get(phase, 0.0) + seconds
+    assert set(phases) == set(PHASE_COUNTERS)
+    if path != "accum":
+        assert set(par.phase_breakdown()) == set(PHASE_COUNTERS)
+    # Each path charges its compute to its own phases.
+    busy = {"record": "map", "kernel": "kernel", "accum": "delta"}[path]
+    assert phases[busy] > 0.0
     assert par.counter("bytes_pickled") > 0
     assert par.counter("batches_sent") > 0
 
