@@ -138,7 +138,9 @@ class RangePartitioner:
 
     Partition ``p`` owns keys ``[p * ceil(total/n), ...)``.  Keeps each
     partition's keys contiguous, which mirrors how the framework's graph
-    loader splits node-id ranges across workers.
+    loader splits node-id ranges across workers.  Keys outside
+    ``[0, total)`` clamp to the nearest end: negative keys to partition
+    0, keys past the range to the last partition.
     """
 
     def __init__(self, total_keys: int):
@@ -152,7 +154,7 @@ class RangePartitioner:
         if isinstance(key, bool) or not isinstance(key, int):
             return stable_hash(key) % num_partitions
         width = -(-self.total_keys // num_partitions)  # ceil division
-        return min(int(key) // width, num_partitions - 1)
+        return max(0, min(int(key) // width, num_partitions - 1))
 
     def bind(self, num_partitions: int) -> Callable[[Any], int]:
         width = -(-self.total_keys // num_partitions)
@@ -160,10 +162,10 @@ class RangePartitioner:
 
         def part(key: Any, _n: int = num_partitions) -> int:
             if type(key) is int:
-                return min(key // width, last)
+                return max(0, min(key // width, last))
             if isinstance(key, bool) or not isinstance(key, int):
                 return stable_hash(key) % _n
-            return min(int(key) // width, last)
+            return max(0, min(int(key) // width, last))
 
         return part
 
@@ -177,7 +179,7 @@ class RangePartitioner:
         def part_array(keys, _width: int = width, _last: int = last):
             import numpy as np
 
-            return np.minimum(keys // _width, _last)
+            return np.clip(keys // _width, 0, _last)
 
         return part_array
 

@@ -31,12 +31,44 @@ the per-record loops:
   iterations (§3.2.1 — the static data is never touched again);
 * ``map_kernel(pair, keys, values, prepared, broadcast)`` returns the
   pair's whole emission set as ``(out_keys, out_values)`` arrays;
-* emissions are routed with one vectorized partition call
-  (``partitioner.bind_array``) and merged at the owning pair with
-  ``np.add.at`` / ``np.minimum.at`` — the reduce;
+* emissions are routed by a :class:`RoutePlan` and merged at the owning
+  pair by a :class:`MergePlan` — the reduce;
 * optional ``finalize`` post-processes the merged accumulator (k-means
   divides sums by counts), and ``distance_partial`` supplies the
   vectorized per-pair convergence contribution.
+
+Route and merge plans
+---------------------
+
+Only state changes between iterations (§3.2), and with it only the
+emitted *values*: a pair whose static data is fixed emits to the same
+keys in the same order every iteration.  So routing and merge indexing
+are derived once and reused:
+
+* a :class:`RoutePlan`, built from one source pair's emitted key array,
+  holds the vectorized partition call's outcome (``bind_array``) as a
+  stable per-destination order — a selector into the emission arrays
+  and the key slice for every fed destination.  Routing an iteration is
+  then one gather per destination;
+* a :class:`MergePlan`, built per destination pair from the key arrays
+  of its arriving batches, holds the owned-key slot of every arriving
+  emission, checked once for stray keys and full owned-key coverage.
+  Merging is then one scatter: ``np.bincount(slots, weights)`` for a
+  1-D float64 ``sum`` (sequential in input order, so the same bits as
+  ``np.add.at``), ``np.add.at`` for vector ``sum`` and
+  ``np.minimum.at`` for ``min``.
+
+A plan is reused while the pair emits the same key array (the same
+object, or ``np.array_equal``) and rebuilt otherwise — as sssp's
+frontier grows.  The same plans put the keys on the wire only once
+(:class:`KeysOnceSender` / :class:`KeysOnceReceiver`): a shuffle batch
+carries its key array only on the iteration its sender's plan was
+(re)built and is values-only otherwise; the receiver keeps the last
+keys from each source pair and rebuilds its merge plan when any batch
+brings keys or the set of source pairs changes.  The serial executor
+runs the same protocol in memory.  :func:`route_columnar` and
+:func:`merge_columnar` are the one-shot forms: build a plan, apply it
+once.
 
 Dispatch rules (:func:`kernel_enabled`): the job must carry a kernel,
 have exactly one phase, no aux phase, a partitioner with ``bind_array``,
@@ -49,7 +81,7 @@ Float-ordering caveat
 
 ``min`` merges are order-independent, so sssp/components kernels are
 *bit-exact* against the record path.  ``sum`` merges reorder the float
-additions (``np.add.at`` accumulates in routed-concatenation order, the
+additions (the merge accumulates in routed-concatenation order, the
 record path in ``group_by_key`` emission order), so summation kernels
 are compared with a tolerance oracle.  The worst-case error of summing
 ``n`` floats in any order is bounded by ``(n-1)·eps·Σ|xᵢ|`` (Higham,
@@ -78,6 +110,10 @@ __all__ = [
     "accum_kernel_enabled",
     "encode_columnar",
     "decode_columnar",
+    "RoutePlan",
+    "MergePlan",
+    "KeysOnceSender",
+    "KeysOnceReceiver",
     "route_columnar",
     "merge_columnar",
     "absorb_columnar",
@@ -90,8 +126,9 @@ __all__ = [
 
 class KernelContractError(JobError):
     """A kernel violated the columnar contract (non-int keys, emission
-    to a key outside the job's key universe, or an owned key that
-    received no contribution)."""
+    to a key outside the job's key universe or to a pair outside the
+    mesh, an owned key that received no contribution, or a values-only
+    batch whose keys never arrived)."""
 
 
 class Kernel:
@@ -103,7 +140,7 @@ class Kernel:
     must be picklable — plain classes with ``__slots__`` work.
     """
 
-    #: ``"sum"`` (``np.add.at``) or ``"min"`` (``np.minimum.at``).
+    #: ``"sum"`` or ``"min"`` (see :class:`MergePlan`).
     merge = "sum"
     #: True for one2all jobs: ``map_kernel`` receives the full state as
     #: a globally key-sorted ``(keys, values)`` broadcast.
@@ -274,84 +311,219 @@ def decode_columnar(
     return [(int(k), values[i].copy()) for i, k in enumerate(keys.tolist())]
 
 
-# ------------------------------------------------------------- routing --
+# ------------------------------------------------------- route + merge --
+def _index_array(idx: np.ndarray, bound: int) -> np.ndarray:
+    """Plans stay resident for the whole job: store an index array into
+    ``bound`` elements as int32 whenever it fits."""
+    return idx.astype(np.int32) if bound < 2**31 else idx
+
+
+class RoutePlan:
+    """One source pair's routing, derived once from its emitted keys.
+
+    One vectorized partition call plus a stable argsort: within each
+    destination, emission order is preserved, so the serial and the
+    multiprocess executor concatenate identical per-source batches.
+    The argsort runs on the destinations narrowed to the smallest
+    unsigned dtype that holds ``num_pairs`` — the same stable order,
+    but numpy radix-sorts ≤16-bit keys.  ``routes`` holds ``(dest_pair,
+    selector, dest_keys)`` for every fed destination in ascending order
+    (the mesh's skip-empty contract).  A destination outside ``[0,
+    num_pairs)`` raises :class:`KernelContractError` — checked once,
+    here.
+    """
+
+    __slots__ = ("keys", "routes")
+
+    def __init__(
+        self,
+        out_keys: np.ndarray,
+        part_array: Callable[[np.ndarray], np.ndarray],
+        num_pairs: int,
+    ):
+        self.keys = out_keys
+        self.routes: list[tuple[int, np.ndarray, np.ndarray]] = []
+        if out_keys.size == 0:
+            return
+        dest = np.asarray(part_array(out_keys))
+        if dest.min() < 0 or dest.max() >= num_pairs:
+            bad = (dest < 0) | (dest >= num_pairs)
+            raise KernelContractError(
+                f"partitioner routed keys outside pairs [0, {num_pairs}): "
+                f"{out_keys[bad][:5].tolist()}"
+            )
+        dest = dest.astype(np.min_scalar_type(num_pairs - 1))
+        order = _index_array(np.argsort(dest, kind="stable"), out_keys.size)
+        hi = 0
+        for q, count in enumerate(np.bincount(dest, minlength=num_pairs).tolist()):
+            if count:
+                lo, hi = hi, hi + count
+                sel = order[lo:hi]
+                self.routes.append((q, sel, out_keys[sel]))
+
+    def matches(self, out_keys: np.ndarray) -> bool:
+        """Does this plan route ``out_keys`` (the array it was built from,
+        or an equal one)?"""
+        keys = self.keys
+        return out_keys is keys or (
+            out_keys.shape == keys.shape and np.array_equal(out_keys, keys)
+        )
+
+    def split(self, out_values: np.ndarray) -> list[tuple[int, np.ndarray, np.ndarray]]:
+        """``(dest_pair, keys, values)`` per fed destination: one gather
+        each."""
+        return [(q, keys, out_values[sel]) for q, sel, keys in self.routes]
+
+
+class MergePlan:
+    """One destination pair's merge indexing, derived once from the key
+    arrays of its arriving batches (in ascending source-pair order).
+
+    ``slots`` is the owned-key position of every arriving emission.
+    Building the plan checks the contract once: no emission may target
+    a key outside the owned set, and every owned key must receive at
+    least one contribution (all bundled kernels self-emit) — both
+    violations raise :class:`KernelContractError`.
+    """
+
+    __slots__ = ("merge", "size", "slots")
+
+    def __init__(self, merge: str, owned_keys: np.ndarray,
+                 key_batches: list[np.ndarray]):
+        if not key_batches:
+            raise KernelContractError("no contributions arrived for a non-empty pair")
+        all_keys = np.concatenate(key_batches)
+        idx = np.searchsorted(owned_keys, all_keys)
+        clipped = np.minimum(idx, owned_keys.size - 1)
+        bad = (idx >= owned_keys.size) | (owned_keys[clipped] != all_keys)
+        if bad.any():
+            stray = all_keys[bad][:5].tolist()
+            raise KernelContractError(
+                f"kernel emitted to keys outside the owned set: {stray}"
+            )
+        if merge not in ("sum", "min"):
+            raise KernelContractError(f"unknown merge {merge!r}")
+        present = np.zeros(owned_keys.size, dtype=bool)
+        present[idx] = True
+        if not present.all():
+            missing = owned_keys[~present][:5].tolist()
+            raise KernelContractError(
+                f"owned keys received no contribution: {missing}"
+            )
+        self.merge = merge
+        self.size = owned_keys.size
+        self.slots = _index_array(idx, owned_keys.size)
+
+    def apply(self, value_batches: list[np.ndarray]) -> np.ndarray:
+        """The vectorized reduce: fold the value batches (row-aligned with
+        the plan's key batches) into an accumulator aligned with the
+        owned keys.  ``sum`` starts from zero, ``min`` from the dtype's
+        +∞."""
+        vals = np.concatenate(value_batches)
+        slots = self.slots
+        if vals.shape[0] != slots.size:
+            raise KernelContractError(
+                f"{vals.shape[0]} values arrived for {slots.size} planned keys"
+            )
+        shape = (self.size,) + vals.shape[1:]
+        if self.merge == "sum":
+            if vals.ndim == 1 and vals.dtype == np.float64:
+                # bincount adds in input order, as np.add.at does: same bits.
+                return np.bincount(slots, weights=vals, minlength=self.size)
+            acc = np.zeros(shape, dtype=vals.dtype)
+            np.add.at(acc, slots, vals)
+            return acc
+        fill = np.iinfo(vals.dtype).max if vals.dtype.kind == "i" else np.inf
+        acc = np.full(shape, fill, dtype=vals.dtype)
+        np.minimum.at(acc, slots, vals)
+        return acc
+
+
+class KeysOnceSender:
+    """Sender end of the keys-once shuffle: one :class:`RoutePlan` per
+    source pair, rebuilt whenever the pair's emitted keys change."""
+
+    def __init__(self, part_array: Callable[[np.ndarray], np.ndarray],
+                 num_pairs: int):
+        self.part_array = part_array
+        self.num_pairs = num_pairs
+        self.plans: dict[int, RoutePlan] = {}
+
+    def route(
+        self, pair: int, out_keys: np.ndarray, out_values: np.ndarray
+    ) -> list[tuple[int, np.ndarray | None, np.ndarray]]:
+        """``(dest_pair, keys, values)`` per fed destination, with
+        ``keys`` ``None`` unless this call (re)built the pair's plan."""
+        plan = self.plans.get(pair)
+        if plan is not None and plan.matches(out_keys):
+            return [(q, None, vs) for q, _keys, vs in plan.split(out_values)]
+        plan = self.plans[pair] = RoutePlan(out_keys, self.part_array, self.num_pairs)
+        return plan.split(out_values)
+
+
+class KeysOnceReceiver:
+    """Receiver end of the keys-once shuffle: per destination pair, the
+    last keys from each source pair and the :class:`MergePlan` built on
+    them, rebuilt when any batch brings keys or the set of source pairs
+    changes."""
+
+    def __init__(self, merge: str):
+        self.merge = merge
+        #: pair -> (last keys per source pair, the plan built on them)
+        self.plans: dict[int, tuple[dict[int, np.ndarray], MergePlan]] = {}
+
+    def merge_into(
+        self,
+        pair: int,
+        owned_keys: np.ndarray,
+        arrivals: list[tuple[int, np.ndarray | None, np.ndarray]],
+    ) -> np.ndarray:
+        """Merge ``(src_pair, keys or None, values)`` arrivals, in
+        ascending source order, into ``pair``'s accumulator.  A
+        values-only batch from a source whose keys this end does not
+        hold raises :class:`KernelContractError`."""
+        known, plan = self.plans.get(pair, ({}, None))
+        if (
+            plan is None
+            or any(keys is not None for _src, keys, _vs in arrivals)
+            or list(known) != [src for src, _keys, _vs in arrivals]
+        ):
+            fresh: dict[int, np.ndarray] = {}
+            for src, keys, _vs in arrivals:
+                if keys is None:
+                    keys = known.get(src)
+                    if keys is None:
+                        raise KernelContractError(
+                            f"values-only batch from pair {src} to pair "
+                            f"{pair} before its keys"
+                        )
+                fresh[src] = keys
+            plan = MergePlan(self.merge, owned_keys, list(fresh.values()))
+            self.plans[pair] = (fresh, plan)
+        return plan.apply([vs for _src, _keys, vs in arrivals])
+
+
 def route_columnar(
     out_keys: np.ndarray,
     out_values: np.ndarray,
     part_array: Callable[[np.ndarray], np.ndarray],
     num_pairs: int,
 ) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """Split one pair's emissions by destination pair.
-
-    One vectorized partition call plus a stable argsort: within each
-    destination, emission order is preserved, so the serial and the
-    multiprocess executor concatenate identical per-source batches.
-    Empty destinations are skipped (the mesh's skip-empty contract).
-    """
-    if out_keys.size == 0:
-        return []
-    dest = part_array(out_keys)
-    order = np.argsort(dest, kind="stable")
-    ks = out_keys[order]
-    vs = out_values[order]
-    ds = dest[order]
-    bounds = np.searchsorted(ds, np.arange(num_pairs + 1))
-    return [
-        (q, ks[lo:hi], vs[lo:hi])
-        for q, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
-        if hi > lo
-    ]
+    """Split one pair's emissions by destination pair: a one-shot
+    :class:`RoutePlan`."""
+    return RoutePlan(out_keys, part_array, num_pairs).split(out_values)
 
 
-# --------------------------------------------------------------- merge --
 def merge_columnar(
     kernel: Kernel,
     owned_keys: np.ndarray,
     batches: list[tuple[np.ndarray, np.ndarray]],
 ) -> np.ndarray:
-    """The vectorized reduce: fold arriving ``(keys, values)`` batches
-    (already in ascending source-pair order) into an accumulator aligned
-    with ``owned_keys``.
-
-    ``sum`` starts from zero and scatters with ``np.add.at``; ``min``
-    starts from the dtype's +∞ and uses ``np.minimum.at``.  Every owned
-    key must receive at least one contribution (all bundled kernels
-    self-emit), and no emission may target a key outside the owned set —
-    both violations raise :class:`KernelContractError`.
-    """
-    if not batches:
-        raise KernelContractError("no contributions arrived for a non-empty pair")
-    all_keys = np.concatenate([b[0] for b in batches])
-    all_vals = np.concatenate([b[1] for b in batches])
-    idx = np.searchsorted(owned_keys, all_keys)
-    clipped = np.minimum(idx, owned_keys.size - 1)
-    bad = (idx >= owned_keys.size) | (owned_keys[clipped] != all_keys)
-    if bad.any():
-        stray = all_keys[bad][:5].tolist()
-        raise KernelContractError(
-            f"kernel emitted to keys outside the owned set: {stray}"
-        )
-    shape = (owned_keys.size,) + all_vals.shape[1:]
-    if kernel.merge == "sum":
-        acc = np.zeros(shape, dtype=all_vals.dtype)
-        np.add.at(acc, idx, all_vals)
-    elif kernel.merge == "min":
-        if all_vals.dtype.kind == "i":
-            fill = np.iinfo(all_vals.dtype).max
-        else:
-            fill = np.inf
-        acc = np.full(shape, fill, dtype=all_vals.dtype)
-        np.minimum.at(acc, idx, all_vals)
-    else:
-        raise KernelContractError(f"unknown merge {kernel.merge!r}")
-    present = np.zeros(owned_keys.size, dtype=bool)
-    present[idx] = True
-    if not present.all():
-        missing = owned_keys[~present][:5].tolist()
-        raise KernelContractError(
-            f"owned keys received no contribution: {missing}"
-        )
-    return acc
+    """Fold arriving ``(keys, values)`` batches (already in ascending
+    source-pair order) into an accumulator aligned with ``owned_keys``:
+    a one-shot :class:`MergePlan`."""
+    plan = MergePlan(kernel.merge, owned_keys, [b[0] for b in batches])
+    return plan.apply([b[1] for b in batches])
 
 
 def concat_broadcast(
@@ -378,7 +550,9 @@ def run_local_kernel(
 ):
     """Serial columnar executor — :func:`run_local`'s kernel dispatch
     target.  Same result surface (:class:`LocalRunResult`), one
-    ``map_kernel`` + one vectorized merge per pair per iteration.
+    ``map_kernel`` + one vectorized merge per pair per iteration, routed
+    and merged through the keys-once plans exactly as the multiprocess
+    step does, with the inbox in place of the mesh.
     """
     from .localrun import LocalRunResult, order_key  # avoid import cycle
 
@@ -418,6 +592,8 @@ def run_local_kernel(
     iterations_run = 0
     terminated_by = ""
     max_iterations = job.max_iterations if job.max_iterations is not None else 10**9
+    sender = KeysOnceSender(part_array, num_pairs)
+    receiver = KeysOnceReceiver(kernel.merge)
 
     for iteration in range(max_iterations):
         broadcast = None
@@ -426,20 +602,18 @@ def run_local_kernel(
                 [(owned[p], values[p]) for p in range(num_pairs)]
             )
         # ---- map + route: inbox[q] holds batches in ascending src order --
-        inbox: list[list[tuple[np.ndarray, np.ndarray]]] = [
-            [] for _ in range(num_pairs)
-        ]
+        inbox: list[list[tuple]] = [[] for _ in range(num_pairs)]
         for p in range(num_pairs):
             out_keys, out_vals = kernel.map_kernel(
                 p, owned[p], values[p], prepared[p], broadcast
             )
-            for q, ks, vs in route_columnar(out_keys, out_vals, part_array, num_pairs):
-                inbox[q].append((ks, vs))
+            for q, ks, vs in sender.route(p, out_keys, out_vals):
+                inbox[q].append((p, ks, vs))
         # ---- vectorized merge + finalize ----
         for q in range(num_pairs):
             if owned[q].size == 0:
                 continue
-            acc = merge_columnar(kernel, owned[q], inbox[q])
+            acc = receiver.merge_into(q, owned[q], inbox[q])
             values[q] = kernel.finalize(q, owned[q], acc, values[q], prepared[q])
         iterations_run = iteration + 1
 
@@ -474,8 +648,6 @@ def run_local_kernel(
             terminated_by = "threshold"
             break
     else:
-        terminated_by = "maxiter"
-    if not terminated_by:
         terminated_by = "maxiter"
 
     final = sorted(

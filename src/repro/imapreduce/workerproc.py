@@ -44,7 +44,9 @@ wire every logical message is a *frame*:
 
 Shuffle payloads are a flat ``[(dest_pair, src_pair, data…), ...]``
 list — one pickle per destination worker — where ``data`` is a record
-list or a ``keys, values`` array pair.  Record route decisions
+list or a ``keys, values`` array pair.  Columnar batches carry their
+key array only when the sender's route plan was (re)built and ``None``
+otherwise (keys-once, see :mod:`.columnar`).  Record route decisions
 (``part(key) → (owner_worker, pair)``) are memoized per worker: the key
 universe of graph workloads is stable, so after the first iteration the
 partitioner is never re-evaluated on the hot path.
@@ -102,12 +104,12 @@ from ..mapreduce.api import Context
 from .accum import AccumJob, AccumPair
 from .checkpoint import CheckpointStore, fire_fault
 from .columnar import (
+    KeysOnceReceiver,
+    KeysOnceSender,
     concat_broadcast,
     decode_columnar,
     encode_columnar,
     kernel_enabled,
-    merge_columnar,
-    route_columnar,
 )
 from .localrun import map_pair, order_key, sorted_static
 
@@ -501,8 +503,10 @@ class _Port:
     """This worker's end of the data plane, shared by every step: framing,
     the mesh counters, and the skip-empty :meth:`exchange` and hoisted
     one2all :meth:`allgather`.  Batch items are ``(pair, …)`` tuples
-    whose first data part — a record list or a key array — has one entry
-    per record, so one counting rule serves every step."""
+    whose *last* part — a record list or a value array — has one entry
+    per record, so one counting rule serves every step: records count
+    values, and a keys-once columnar batch whose keys are ``None``
+    counts the same as one that carries them."""
 
     def __init__(self, cfg: WorkerConfig, peer_send: dict[int, Any],
                  inbox: _Inbox, feeder: _Feeder, timings: dict[str, float],
@@ -551,7 +555,7 @@ class _Port:
             batch = routed.get(v)
             if batch:
                 self.ship(kind, iteration, phase, v, batch,
-                          sum(len(item[2]) for item in batch))
+                          sum(len(item[-1]) for item in batch))
             else:
                 self.ship(kind, iteration, phase, v, _NO_PAYLOAD)
         merged: dict[int, dict[int, tuple]] = {}
@@ -581,7 +585,7 @@ class _Port:
             for v in peers:
                 self.ship(BCAST_SORTED, iteration, phase, v, broadcast, records)
             return broadcast
-        records = sum(len(item[1]) for item in mine)
+        records = sum(len(item[-1]) for item in mine)
         self.ship(BCAST, iteration, phase, self.sorter,
                   mine if records else _NO_PAYLOAD, records)
         got = self.inbox.gather(
@@ -796,13 +800,15 @@ class _RecordStep(_SyncStep):
 
 
 class _KernelStep(_SyncStep):
-    """Kernel-sync step: one ``map_kernel`` + vectorized route, merge and
+    """Kernel-sync step: one ``map_kernel`` + planned route, merge and
     ``finalize`` per pair on ``(keys, values)`` arrays, which cross the
-    mesh as out-of-band buffers.  Merges and broadcast assembly follow
-    the serial columnar executor's order, so kernel-parallel results are
-    bit-equal to kernel-serial ones.  Reports and the final state decode
-    to records (the coordinator is path-agnostic); checkpoints keep the
-    arrays."""
+    mesh as out-of-band buffers — keys only when a route plan was
+    (re)built.  Merges and broadcast assembly follow the serial columnar
+    executor's order and plans, so kernel-parallel results are bit-equal
+    to kernel-serial ones.  Plans are not checkpointed: a respawned mesh
+    starts with empty plans on both ends and ships keys again.  Reports
+    and the final state decode to records (the coordinator is
+    path-agnostic); checkpoints keep the arrays."""
 
     path = "kernel"
 
@@ -811,7 +817,10 @@ class _KernelStep(_SyncStep):
         job = cfg.job
         kernel = self.kernel = job.kernel
         self.one2all = job.phases[0].mapping == "one2all"
-        self.part_array = job.partitioner.bind_array(cfg.num_pairs)
+        self.sender = KeysOnceSender(
+            job.partitioner.bind_array(cfg.num_pairs), cfg.num_pairs
+        )
+        self.receiver = KeysOnceReceiver(kernel.merge)
         timings = port.timings
 
         # A respawn after recovery (start_iteration > 0) loads a
@@ -855,8 +864,7 @@ class _KernelStep(_SyncStep):
     def iterate(self, iteration: int) -> None:
         port, timings = self.port, self.port.timings
         kernel, owned, values = self.kernel, self.owned, self.values
-        my_pairs, num_pairs = self.my_pairs, self.num_pairs
-        owner_of = port.owner_of
+        my_pairs, owner_of = self.my_pairs, port.owner_of
         port.fire_faults(iteration, 0)
         broadcast = None
         if self.one2all:
@@ -872,9 +880,7 @@ class _KernelStep(_SyncStep):
             out_keys, out_vals = kernel.map_kernel(
                 p, owned[p], values[p], self.prepared[p], broadcast
             )
-            for q, ks, vs in route_columnar(
-                out_keys, out_vals, self.part_array, num_pairs
-            ):
+            for q, ks, vs in self.sender.route(p, out_keys, out_vals):
                 routed.setdefault(owner_of[q], []).append((q, p, ks, vs))
         timings["kernel"] += time.perf_counter() - started
 
@@ -885,8 +891,8 @@ class _KernelStep(_SyncStep):
         for q in my_pairs:
             if owned[q].size == 0:
                 continue
-            batches = [item[2:] for item in _arrivals(merged, q)]
-            acc = merge_columnar(kernel, owned[q], batches)
+            arrivals = [item[1:] for item in _arrivals(merged, q)]
+            acc = self.receiver.merge_into(q, owned[q], arrivals)
             values[q] = kernel.finalize(q, owned[q], acc, values[q], self.prepared[q])
         timings["kernel"] += time.perf_counter() - started
 

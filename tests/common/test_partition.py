@@ -54,6 +54,20 @@ def test_range_partitioner_balance():
     assert counts == [25, 25, 25, 25]
 
 
+def test_range_partitioner_clamps_out_of_range_keys():
+    """Negative keys clamp to partition 0, keys past the range to the
+    last partition — in the call, the bound and the array form alike."""
+    import numpy as np
+
+    part = RangePartitioner(100)
+    keys = [-3, -100, -(2**40), 0, 5, 60, 99, 130]
+    want = [0, 0, 0, 0, 0, 2, 3, 3]
+    bound = part.bind(4)
+    assert [part(k, 4) for k in keys] == want
+    assert [bound(k) for k in keys] == want
+    assert part.bind_array(4)(np.array(keys, dtype=np.int64)).tolist() == want
+
+
 def test_stable_hash_known_types_distinct():
     values = [0, "0", 0.0, False, None, (0,)]
     hashes = {stable_hash(v) for v in values}

@@ -4,15 +4,17 @@ The encode/decode round trip is the load-bearing contract: every state
 record that enters the kernel path must come back out with the record
 path's value types (Python ints/floats, per-row arrays for vector
 state), or the differential oracles would compare unlike things.
-Routing and merging carry the rest of the contract — stray keys and
-uncovered owned keys must *raise*, never silently corrupt state.
+Routing and merging carry the rest of the contract — stray keys,
+uncovered owned keys and values-only batches whose keys never arrived
+must *raise*, never silently corrupt state — and the reusable route
+and merge plans must reproduce the one-shot forms bit for bit.
 """
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import pagerank, sssp
@@ -20,6 +22,9 @@ from repro.common import HashPartitioner, ModPartitioner, RangePartitioner
 from repro.common.records import group_by_key
 from repro.imapreduce import Kernel, KernelContractError, kernel_enabled
 from repro.imapreduce.columnar import (
+    KeysOnceReceiver,
+    KeysOnceSender,
+    RoutePlan,
     concat_broadcast,
     decode_columnar,
     encode_columnar,
@@ -137,6 +142,29 @@ def test_range_bind_array_matches_scalar():
     assert arr.tolist() == [scalar(int(k)) for k in keys]
 
 
+def test_range_route_keeps_negative_keys():
+    """A negative key under RangePartitioner routes to pair 0 instead of
+    being dropped by the columnar route."""
+    keys = np.array([-3, 5, 60], dtype=np.int64)
+    routed = route_columnar(
+        keys, keys.astype(np.float64), RangePartitioner(100).bind_array(4), 4
+    )
+    assert [(q, ks.tolist(), vs.tolist()) for q, ks, vs in routed] == [
+        (0, [-3, 5], [-3.0, 5.0]),
+        (2, [60], [60.0]),
+    ]
+
+
+def test_route_plan_rejects_destinations_outside_the_mesh():
+    keys = np.array([1, 7, -4, 2], dtype=np.int64)
+
+    def part_array(ks):
+        return np.where(ks == 7, 3, np.where(ks == -4, -1, 0))
+
+    with pytest.raises(KernelContractError, match=r"\[7, -4\]"):
+        RoutePlan(keys, part_array, 3)
+
+
 # --------------------------------------------------------------- merge --
 class _SumKernel(Kernel):
     merge = "sum"
@@ -202,6 +230,118 @@ def test_merge_min_equals_record_reduce(emissions):
     acc = merge_columnar(_MinKernel(), owned, [(keys, vals)])
     record = {k: min(v for kk, v in emissions if kk == k) for k in owned.tolist()}
     assert acc.tolist() == [record[k] for k in owned.tolist()]
+
+
+# ---------------------------------------------- route + merge plans --
+def _bits(a):
+    return a.view(np.int64) if a.dtype == np.float64 else a
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    universe=st.lists(
+        st.integers(min_value=-(2**62), max_value=2**62),
+        min_size=1, max_size=30, unique=True,
+    ),
+    use_range=st.booleans(),
+    merge=st.sampled_from(["sum", "min"]),
+    width=st.sampled_from([0, 3]),
+    num_pairs=st.integers(min_value=1, max_value=5),
+    actions=st.lists(
+        st.lists(st.sampled_from(["keep", "copy", "new", "drop"]),
+                 min_size=5, max_size=5),
+        min_size=1, max_size=6,
+    ),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_plans_with_keys_once_batches_equal_one_shot(
+    universe, use_range, merge, width, num_pairs, actions, seed
+):
+    """Several iterations in which sources keep their keys (the same
+    array or an equal copy), draw new ones or drop out: the planned
+    route + merge over keys-once batches equals the one-shot
+    route_columnar + merge_columnar bit for bit, and a batch carries
+    keys exactly when its sender's plan was (re)built."""
+    rng = np.random.default_rng(seed)
+    part = RangePartitioner(2**40) if use_range else ModPartitioner()
+    part_array = part.bind_array(num_pairs)
+    kernel = _SumKernel() if merge == "sum" else _MinKernel()
+    pool = np.array(universe, dtype=np.int64)
+    dest = part_array(pool)
+    owned = [np.sort(pool[dest == q]) for q in range(num_pairs)]
+    sender = KeysOnceSender(part_array, num_pairs)
+    receiver = KeysOnceReceiver(merge)
+    last: dict[int, np.ndarray] = {}
+
+    for row in actions:
+        emitted = {}
+        for p in range(num_pairs):
+            action, prev = row[p], last.get(p)
+            if action in ("keep", "copy") and prev is not None:
+                emitted[p] = prev if action == "keep" else prev.copy()
+            elif action == "drop":
+                emitted[p] = pool[:0]
+            else:
+                emitted[p] = rng.choice(pool, size=rng.integers(1, 2 * pool.size))
+        # Keep every owned key covered: the first source emits the rest.
+        seen = np.concatenate(list(emitted.values()))
+        missing = pool[~np.isin(pool, seen)]
+        if missing.size:
+            emitted[0] = np.concatenate([emitted[0], missing])
+        expect_keys = {
+            p: prev is None or not np.array_equal(emitted[p], prev)
+            for p, prev in ((p, last.get(p)) for p in range(num_pairs))
+        }
+        last = emitted
+
+        shape = lambda n: (n,) if width == 0 else (n, width)  # noqa: E731
+        inbox_ref = [[] for _ in range(num_pairs)]
+        inbox = [[] for _ in range(num_pairs)]
+        for p in range(num_pairs):
+            keys = emitted[p]
+            vals = rng.standard_normal(shape(keys.size)) * 10.0 ** rng.integers(
+                -8, 8, size=shape(keys.size)
+            )
+            for q, ks, vs in route_columnar(keys, vals, part_array, num_pairs):
+                inbox_ref[q].append((ks, vs))
+            for q, ks, vs in sender.route(p, keys, vals):
+                assert (ks is not None) == expect_keys[p]
+                inbox[q].append((p, ks, vs))
+        for q in range(num_pairs):
+            if owned[q].size == 0:
+                continue
+            want = merge_columnar(kernel, owned[q], inbox_ref[q])
+            got = receiver.merge_into(q, owned[q], inbox[q])
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_receiver_rejects_values_only_batch_before_its_keys():
+    owned = np.array([1, 2], dtype=np.int64)
+    vals = np.array([1.0, 2.0])
+    with pytest.raises(KernelContractError, match="before its keys"):
+        KeysOnceReceiver("sum").merge_into(0, owned, [(0, None, vals)])
+    # A plan exists for source 0 only: a values-only newcomer still fails.
+    receiver = KeysOnceReceiver("sum")
+    receiver.merge_into(0, owned, [(0, owned, vals)])
+    with pytest.raises(KernelContractError, match="from pair 1"):
+        receiver.merge_into(0, owned, [(0, None, vals), (1, None, vals)])
+
+
+def test_receiver_rejects_stray_key():
+    owned = np.array([1, 2], dtype=np.int64)
+    with pytest.raises(KernelContractError, match="outside the owned set"):
+        KeysOnceReceiver("min").merge_into(
+            0, owned, [(0, np.array([1, 2, 3]), np.array([1.0, 2.0, 3.0]))]
+        )
+
+
+def test_receiver_rejects_uncovered_owned_key():
+    owned = np.array([1, 2], dtype=np.int64)
+    with pytest.raises(KernelContractError, match="no contribution"):
+        KeysOnceReceiver("sum").merge_into(
+            0, owned, [(0, np.array([1]), np.array([1.0]))]
+        )
 
 
 def test_concat_broadcast_is_key_sorted():

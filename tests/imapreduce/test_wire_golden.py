@@ -86,7 +86,7 @@ def _accum_async_pagerank():
 GOLDEN = {
     "record-one2all-combiner": (_record_one2all_combiner, 47, 12, 0, 5297),
     "record-multi-phase": (_record_multi_phase, 378, 12, 6, 7662),
-    "kernel-pagerank": (_kernel_pagerank, 155, 10, 0, 6750),
+    "kernel-pagerank": (_kernel_pagerank, 155, 10, 0, 4942),
     "accum-async-pagerank": (_accum_async_pagerank, 2146, 315, 5, 88530),
 }
 
